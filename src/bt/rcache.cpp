@@ -6,6 +6,21 @@
 
 namespace dim::bt {
 
+ReconfigCache::ReconfigCache(size_t slots, Replacement policy)
+    : slots_(slots), policy_(policy) {
+  // About eight buckets per slot, between 64 and 4096.
+  size_t buckets = 64;
+  while (buckets < 4096 && buckets / 8 < slots) buckets *= 2;
+  bucket_counts_.assign(buckets, 0);
+}
+
+void ReconfigCache::add_entry(uint32_t pc, rra::Configuration config) {
+  entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)));
+  order_.push_back(pc);
+  order_pos_.emplace(pc, std::prev(order_.end()));
+  ++bucket_counts_[bucket(pc)];
+}
+
 void ReconfigCache::emit(obs::EventKind kind, uint32_t pc, int32_t words) {
   if (events_ == nullptr) return;
   obs::Event e;
@@ -16,6 +31,7 @@ void ReconfigCache::emit(obs::EventKind kind, uint32_t pc, int32_t words) {
 }
 
 rra::Configuration* ReconfigCache::lookup(uint32_t pc) {
+  if (!maybe_present(pc)) return nullptr;
   auto it = entries_.find(pc);
   if (it == entries_.end()) return nullptr;  // misses are noted by the translator
   ++hits_;
@@ -50,6 +66,7 @@ void ReconfigCache::insert(rra::Configuration config) {
     const uint32_t victim = order_.front();
     order_.pop_front();
     order_pos_.erase(victim);
+    --bucket_counts_[bucket(victim)];
     auto victim_it = entries_.find(victim);
     emit(obs::EventKind::kRcacheEvict, victim,
          victim_it->second->instruction_count());
@@ -58,9 +75,7 @@ void ReconfigCache::insert(rra::Configuration config) {
   }
   words_written_ += words;
   config.revision = ++revision_counter_;
-  entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)));
-  order_.push_back(pc);
-  order_pos_.emplace(pc, std::prev(order_.end()));
+  add_entry(pc, std::move(config));
   ++insertions_;
   emit(obs::EventKind::kRcacheInsert, pc, static_cast<int32_t>(words));
 }
@@ -82,14 +97,13 @@ void ReconfigCache::restore(std::vector<rra::Configuration> entries,
   entries_.clear();
   order_.clear();
   order_pos_.clear();
+  std::fill(bucket_counts_.begin(), bucket_counts_.end(), 0);
   for (rra::Configuration& config : entries) {
     const uint32_t pc = config.start_pc;
-    if (!entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)))
-             .second) {
+    if (entries_.count(pc) != 0) {
       throw std::invalid_argument("duplicate start PC in restored cache entries");
     }
-    order_.push_back(pc);
-    order_pos_.emplace(pc, std::prev(order_.end()));
+    add_entry(pc, std::move(config));
   }
   hits_ = counters.hits;
   misses_ = counters.misses;
@@ -107,9 +121,7 @@ bool ReconfigCache::preload(rra::Configuration config) {
   // re-exports byte-identically) and only advances the counter past it, so
   // later insertions can never reissue a stamp the file already used.
   revision_counter_ = std::max(revision_counter_, config.revision);
-  entries_.emplace(pc, std::make_unique<rra::Configuration>(std::move(config)));
-  order_.push_back(pc);
-  order_pos_.emplace(pc, std::prev(order_.end()));
+  add_entry(pc, std::move(config));
   return true;
 }
 
@@ -121,6 +133,7 @@ void ReconfigCache::flush(uint32_t pc) {
   auto pos = order_pos_.find(pc);
   order_.erase(pos->second);
   order_pos_.erase(pos);
+  --bucket_counts_[bucket(pc)];
   ++flushes_;
 }
 

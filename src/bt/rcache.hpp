@@ -35,8 +35,7 @@ struct RcacheCounters {
 
 class ReconfigCache {
  public:
-  explicit ReconfigCache(size_t slots, Replacement policy = Replacement::kFifo)
-      : slots_(slots), policy_(policy) {}
+  explicit ReconfigCache(size_t slots, Replacement policy = Replacement::kFifo);
 
   // Dispatch lookup: a present entry counts a hit and, under LRU, has its
   // recency refreshed (O(1): the entry's list node is spliced to the back).
@@ -51,6 +50,7 @@ class ReconfigCache {
   // Used by bookkeeping paths (translator start checks, speculation
   // extension) that must not perturb the dispatch statistics.
   rra::Configuration* probe(uint32_t pc) {
+    if (!maybe_present(pc)) return nullptr;
     auto it = entries_.find(pc);
     return it == entries_.end() ? nullptr : it->second.get();
   }
@@ -61,11 +61,14 @@ class ReconfigCache {
 
   // True if `pc` has an entry (no hit/miss accounting) — used by the
   // translator to avoid re-translating cached sequences.
-  bool contains(uint32_t pc) const { return entries_.count(pc) != 0; }
+  bool contains(uint32_t pc) const {
+    return maybe_present(pc) && entries_.count(pc) != 0;
+  }
 
   // Read-only access with no stats or recency side effects (serialization,
   // tests).
   const rra::Configuration* peek(uint32_t pc) const {
+    if (!maybe_present(pc)) return nullptr;
     auto it = entries_.find(pc);
     return it == entries_.end() ? nullptr : it->second.get();
   }
@@ -136,6 +139,13 @@ class ReconfigCache {
 
   void emit(obs::EventKind kind, uint32_t pc, int32_t words);
 
+  // Presence filter: the number of stored entries per PC bucket. Most
+  // dispatch probes are for PCs with no entry, and an empty bucket answers
+  // them without touching the hash map.
+  size_t bucket(uint32_t pc) const { return (pc >> 2) & (bucket_counts_.size() - 1); }
+  bool maybe_present(uint32_t pc) const { return bucket_counts_[bucket(pc)] != 0; }
+  void add_entry(uint32_t pc, rra::Configuration config);
+
   size_t slots_;
   Replacement policy_;
   obs::EventStream* events_ = nullptr;  // not owned; null = tracing off
@@ -144,6 +154,7 @@ class ReconfigCache {
   // flushes and evictions never scan: LRU refresh is a splice, O(1).
   OrderList order_;
   std::unordered_map<uint32_t, OrderList::iterator> order_pos_;
+  std::vector<uint32_t> bucket_counts_;  // power-of-two size
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t insertions_ = 0;

@@ -39,19 +39,24 @@ FuKind fu_for(const Instr& i, bool is_branch) {
   return isa::fu_kind(i.op);
 }
 
-// Can this instruction live inside an if-converted hammock arm? Same
-// restrictions as try_add, plus: no control flow (arms are straight-line).
-bool arm_op_allowed(const Instr& i, const TranslatorParams& p) {
-  if (isa::is_branch(i.op) || isa::is_jump(i.op)) return false;
-  if (!translatable(i.op)) return false;
-  if (!p.allow_mem && (isa::is_load(i.op) || isa::is_store(i.op))) return false;
-  if (!p.allow_shifts && isa::is_shift(i.op)) return false;
-  if (!p.allow_mult &&
-      (i.op == Op::kMult || i.op == Op::kMultu || i.op == Op::kMfhi ||
-       i.op == Op::kMflo)) {
+// Can the array host this (non-branch) instruction under the related-work
+// restrictions (CCA-style arrays; see TranslatorParams)?
+bool op_allowed(Op op, const BuildLimits& l) {
+  if (!translatable(op)) return false;
+  if (!l.allow_mem && (isa::is_load(op) || isa::is_store(op))) return false;
+  if (!l.allow_shifts && isa::is_shift(op)) return false;
+  if (!l.allow_mult &&
+      (op == Op::kMult || op == Op::kMultu || op == Op::kMfhi || op == Op::kMflo)) {
     return false;
   }
   return true;
+}
+
+// Can this instruction live inside an if-converted hammock arm? Same
+// restrictions as try_add, plus: no control flow (arms are straight-line).
+bool arm_op_allowed(const Instr& i, const BuildLimits& l) {
+  if (isa::is_branch(i.op) || isa::is_jump(i.op)) return false;
+  return op_allowed(i.op, l);
 }
 
 // The diamond's internal unconditional jump: `b join` assembles to
@@ -65,20 +70,38 @@ bool is_join_jump_instr(const Instr& i) {
 // --- ConfigBuilder -----------------------------------------------------------
 
 ConfigBuilder::ConfigBuilder(uint32_t start_pc, const TranslatorParams& params)
-    : params_(params), start_pc_(start_pc) {
-  last_writer_row_.fill(-1);
+    : limits_(params) {
+  reset(start_pc);
 }
 
-ConfigBuilder::ConfigBuilder(const BuilderState& state, const TranslatorParams& params)
-    : params_(params), start_pc_(state.start_pc) {
+void ConfigBuilder::reset(uint32_t start_pc) {
+  start_pc_ = start_pc;
+  ops_.clear();
+  rows_.clear();
+  last_writer_row_.fill(-1);
+  input_ctx_.reset();
+  written_.reset();
+  num_inputs_ = 0;
+  num_written_ = 0;
+  last_mem_row_ = -1;
+  last_store_row_ = -1;
+  bb_ = 0;
+  immediates_ = 0;
+  pred_slots_ = 0;
+}
+
+void ConfigBuilder::restore(const BuilderState& state) {
+  start_pc_ = state.start_pc;
   ops_ = state.ops;
-  rows_.reserve(state.rows.size());
+  rows_.clear();
   for (const std::array<int, 3>& r : state.rows) {
     rows_.push_back(RowUse{r[0], r[1], r[2]});
   }
   last_writer_row_ = state.last_writer_row;
   input_ctx_ = std::bitset<rra::kNumCtxRegs>(state.input_ctx_bits);
   written_ = std::bitset<rra::kNumCtxRegs>(state.written_bits);
+  num_inputs_ = static_cast<int>(input_ctx_.count());
+  num_written_ = static_cast<int>(written_.count());
   last_mem_row_ = state.last_mem_row;
   last_store_row_ = state.last_store_row;
   bb_ = state.bb;
@@ -116,14 +139,17 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
   // resolved by the time the row drives the bus).
   int min_row = opts.min_row_floor;
   std::bitset<rra::kNumCtxRegs> new_inputs;
+  int added_inputs = 0;
   for (int k = 0; k < nsrc; ++k) {
     const int s = srcs[k];
     if (s == 0) continue;  // $zero
     const int producer = last_writer_row_[static_cast<size_t>(s)];
     if (producer >= 0) {
       min_row = std::max(min_row, producer + 1);
-    } else if (!input_ctx_.test(static_cast<size_t>(s))) {
+    } else if (!input_ctx_.test(static_cast<size_t>(s)) &&
+               !new_inputs.test(static_cast<size_t>(s))) {
       new_inputs.set(static_cast<size_t>(s));
+      ++added_inputs;
     }
   }
 
@@ -136,28 +162,33 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
   }
 
   // Capacity checks that must not mutate state on failure.
-  if ((input_ctx_ | new_inputs).count() >
-      static_cast<size_t>(params_.max_input_regs)) {
+  if (static_cast<size_t>(num_inputs_ + added_inputs) >
+      static_cast<size_t>(limits_.max_input_regs)) {
     return false;
   }
   int dests[2];
-  const int ndst = rra::array_dests(instr, dests);
-  std::bitset<rra::kNumCtxRegs> new_written = written_;
-  for (int k = 0; k < ndst; ++k) new_written.set(static_cast<size_t>(dests[k]));
-  if (new_written.count() > static_cast<size_t>(params_.max_output_regs)) return false;
-  if (params_.max_immediates > 0 && uses_immediate(instr) &&
-      immediates_ >= params_.max_immediates) {
+  const int ndst = rra::array_dests(instr, dests);  // distinct registers
+  int added_outputs = 0;
+  for (int k = 0; k < ndst; ++k) {
+    if (!written_.test(static_cast<size_t>(dests[k]))) ++added_outputs;
+  }
+  if (static_cast<size_t>(num_written_ + added_outputs) >
+      static_cast<size_t>(limits_.max_output_regs)) {
+    return false;
+  }
+  if (limits_.max_immediates > 0 && uses_immediate(instr) &&
+      immediates_ >= limits_.max_immediates) {
     return false;
   }
 
   // Resource table: first line >= min_row with a free unit of this group.
-  const int per_line = kind == FuKind::kAlu    ? params_.shape.alus_per_line
-                       : kind == FuKind::kMul  ? params_.shape.muls_per_line
-                                               : params_.shape.ldsts_per_line;
+  const int per_line = kind == FuKind::kAlu    ? limits_.shape.alus_per_line
+                       : kind == FuKind::kMul  ? limits_.shape.muls_per_line
+                                               : limits_.shape.ldsts_per_line;
   if (per_line <= 0) return false;
   int row = -1;
   int col = -1;
-  for (int r = min_row; r < params_.shape.lines; ++r) {
+  for (int r = min_row; r < limits_.shape.lines; ++r) {
     if (r >= static_cast<int>(rows_.size())) {
       rows_.resize(static_cast<size_t>(r) + 1);
     }
@@ -174,9 +205,11 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
 
   // Commit all table updates.
   input_ctx_ |= new_inputs;
-  written_ = new_written;
+  num_inputs_ += added_inputs;
+  num_written_ += added_outputs;
   const bool predicated_write = opts.pred_slot >= 0 && !opts.is_pred_def;
   for (int k = 0; k < ndst; ++k) {
+    written_.set(static_cast<size_t>(dests[k]));
     int& writer = last_writer_row_[static_cast<size_t>(dests[k])];
     // A predicated write may be squashed at runtime, so a later reader must
     // sit below BOTH the other arm's writer and this one: keep the deepest
@@ -197,9 +230,9 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
   // semantics (never the dependence/resource bookkeeping above, which used
   // the pristine instruction) so the bug surfaces only as divergent
   // architectural state when the configuration executes.
-  if (params_.fault == FaultInjection::kAddiuImmOffByOne && instr.op == Op::kAddiu) {
+  if (limits_.fault == FaultInjection::kAddiuImmOffByOne && instr.op == Op::kAddiu) {
     op.instr.imm16 ^= 1;
-  } else if (params_.fault == FaultInjection::kSubuSwapOperands &&
+  } else if (limits_.fault == FaultInjection::kSubuSwapOperands &&
              instr.op == Op::kSubu) {
     std::swap(op.instr.rs, op.instr.rt);
   }
@@ -219,15 +252,7 @@ bool ConfigBuilder::place(const Instr& instr, uint32_t pc, const PlaceOpts& opts
 }
 
 bool ConfigBuilder::try_add(const Instr& instr, uint32_t pc) {
-  if (!translatable(instr.op)) return false;
-  // Related-work restrictions (CCA-style arrays; see TranslatorParams).
-  if (!params_.allow_mem && (isa::is_load(instr.op) || isa::is_store(instr.op))) return false;
-  if (!params_.allow_shifts && isa::is_shift(instr.op)) return false;
-  if (!params_.allow_mult &&
-      (instr.op == Op::kMult || instr.op == Op::kMultu || instr.op == Op::kMfhi ||
-       instr.op == Op::kMflo)) {
-    return false;
-  }
+  if (!op_allowed(instr.op, limits_)) return false;
   return place(instr, pc, PlaceOpts{});
 }
 
@@ -249,7 +274,7 @@ bool ConfigBuilder::try_merge_hammock(const Instr& branch, uint32_t branch_pc,
                                       const std::vector<HammockOp>& not_taken_arm,
                                       const HammockOp* join_jump,
                                       const std::vector<HammockOp>& taken_arm) {
-  const int cap = std::min(params_.max_pred_slots, rra::kMaxPredSlots);
+  const int cap = std::min(limits_.max_pred_slots, rra::kMaxPredSlots);
   const int slot = pred_slots_;
   if (slot >= cap) return false;
 
@@ -265,7 +290,7 @@ bool ConfigBuilder::try_merge_hammock(const Instr& branch, uint32_t branch_pc,
   arm.min_row_floor = pred_row + 1;
   arm.pred_when_taken = false;  // fall-through arm runs when NOT taken
   for (const HammockOp& h : not_taken_arm) {
-    if (!arm_op_allowed(h.instr, params_)) return false;
+    if (!arm_op_allowed(h.instr, limits_)) return false;
     if (!place(h.instr, h.pc, arm)) return false;
   }
   if (join_jump != nullptr) {
@@ -275,7 +300,7 @@ bool ConfigBuilder::try_merge_hammock(const Instr& branch, uint32_t branch_pc,
   }
   arm.pred_when_taken = true;
   for (const HammockOp& h : taken_arm) {
-    if (!arm_op_allowed(h.instr, params_)) return false;
+    if (!arm_op_allowed(h.instr, limits_)) return false;
     if (!place(h.instr, h.pc, arm)) return false;
   }
   ++pred_slots_;
@@ -311,8 +336,8 @@ rra::Configuration ConfigBuilder::finalize(uint32_t end_pc) const {
   config.end_pc = end_pc;
   config.ops = ops_;
   config.num_bbs = bb_ + 1;
-  config.input_regs = static_cast<int>(input_ctx_.count());
-  config.output_regs = static_cast<int>(written_.count());
+  config.input_regs = num_inputs_;
+  config.output_regs = num_written_;
   config.immediates = immediates_;
   config.pred_slots = pred_slots_;
 
@@ -335,7 +360,11 @@ rra::Configuration ConfigBuilder::finalize(uint32_t end_pc) const {
 
 Translator::Translator(const TranslatorParams& params, ReconfigCache* cache,
                        BimodalPredictor* predictor)
-    : params_(params), cache_(cache), predictor_(predictor) {}
+    : params_(params),
+      cache_(cache),
+      predictor_(predictor),
+      builder_(0, params),
+      trial_(0, params) {}
 
 void Translator::emit(obs::EventKind kind, uint32_t config_pc, int32_t ops,
                       int32_t depth, uint32_t branch_pc) {
@@ -350,16 +379,16 @@ void Translator::emit(obs::EventKind kind, uint32_t config_pc, int32_t ops,
 }
 
 void Translator::finalize_capture(uint32_t end_pc) {
-  if (!builder_) return;
-  if (builder_->size() >= params_.min_instructions) {
-    emit(obs::EventKind::kConfigFinalized, builder_->start_pc(),
-         builder_->size(), builder_->num_bbs());
+  if (!capturing_) return;
+  if (builder_.size() >= params_.min_instructions) {
+    emit(obs::EventKind::kConfigFinalized, builder_.start_pc(),
+         builder_.size(), builder_.num_bbs());
     if (extending_) {
       ++stats_.extensions_completed;
-      emit(obs::EventKind::kExtensionCompleted, builder_->start_pc(),
-           builder_->size(), builder_->num_bbs());
+      emit(obs::EventKind::kExtensionCompleted, builder_.start_pc(),
+           builder_.size(), builder_.num_bbs());
     }
-    rra::Configuration config = builder_->finalize(end_pc);
+    rra::Configuration config = builder_.finalize(end_pc);
     if (params_.exec_mode.mode == rra::ExecMode::kElastic) {
       // Config-build-time deadlock-freedom check: the dispatcher trusts the
       // memo and never re-analyzes a cached configuration.
@@ -374,19 +403,19 @@ void Translator::finalize_capture(uint32_t end_pc) {
     ++stats_.configs_inserted;
   } else {
     ++stats_.too_short;
-    emit(obs::EventKind::kCaptureTooShort, builder_->start_pc(), builder_->size());
+    emit(obs::EventKind::kCaptureTooShort, builder_.start_pc(), builder_.size());
   }
-  builder_.reset();
+  capturing_ = false;
   extending_ = false;
   skipping_ = false;
 }
 
 void Translator::abort_capture() {
-  if (builder_) {
+  if (capturing_) {
     ++stats_.captures_aborted;
-    emit(obs::EventKind::kCaptureAborted, builder_->start_pc(), builder_->size());
+    emit(obs::EventKind::kCaptureAborted, builder_.start_pc(), builder_.size());
   }
-  builder_.reset();
+  capturing_ = false;
   extending_ = false;
   skipping_ = false;
 }
@@ -402,12 +431,13 @@ bool Translator::begin_extension(const rra::Configuration& config,
                                  const Instr& branch, uint32_t branch_pc,
                                  bool predicted_taken) {
   abort_capture();
-  ConfigBuilder builder(config.start_pc, params_);
-  if (!builder.replay(config) ||
-      !builder.try_add_branch(branch, branch_pc, predicted_taken)) {
+  trial_.reset(config.start_pc);
+  if (!trial_.replay(config) ||
+      !trial_.try_add_branch(branch, branch_pc, predicted_taken)) {
     return false;
   }
-  builder_ = std::move(builder);
+  std::swap(builder_, trial_);
+  capturing_ = true;
   extending_ = true;
   ++stats_.captures_started;
   emit(obs::EventKind::kExtensionBegun, config.start_pc,
@@ -423,7 +453,7 @@ TranslatorState Translator::export_state() const {
   s.skipping = skipping_;
   s.skip_lo = skip_lo_;
   s.skip_until = skip_until_;
-  if (builder_) s.builder = builder_->export_state();
+  if (capturing_) s.builder = builder_.export_state();
   return s;
 }
 
@@ -434,15 +464,12 @@ void Translator::restore_state(const TranslatorState& state) {
   skipping_ = state.skipping;
   skip_lo_ = state.skip_lo;
   skip_until_ = state.skip_until;
-  if (state.builder) {
-    builder_.emplace(*state.builder, params_);
-  } else {
-    builder_.reset();
-  }
+  capturing_ = state.builder.has_value();
+  if (capturing_) builder_.restore(*state.builder);
 }
 
 bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
-  if (!params_.predication || !code_reader_ || !builder_) return false;
+  if (!params_.predication || !code_reader_ || !capturing_) return false;
   if (branch.op == Op::kBltzal || branch.op == Op::kBgezal) return false;
   const uint32_t target = sim::branch_target(branch, branch_pc);
   if (target <= branch_pc + 4) return false;  // backward or degenerate
@@ -457,9 +484,13 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
     return false;
   }
 
-  // Read the fall-through region [branch_pc+4, target).
-  std::vector<HammockOp> fall;
-  fall.reserve(static_cast<size_t>(fall_len));
+  // Read the fall-through region [branch_pc+4, target). It becomes the
+  // not-taken arm (less the join jump, for a diamond).
+  const BuildLimits& limits = builder_.limits();
+  std::vector<HammockOp>& fall = fall_arm_;
+  std::vector<HammockOp>& taken = taken_arm_;
+  fall.clear();
+  taken.clear();
   for (int k = 0; k < fall_len; ++k) {
     const uint32_t pc = branch_pc + 4 + static_cast<uint32_t>(k) * 4;
     std::optional<Instr> instr = code_reader_(pc);
@@ -467,21 +498,19 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
     fall.push_back(HammockOp{*instr, pc});
   }
 
-  std::vector<HammockOp> not_taken = fall;
   std::optional<HammockOp> join_jump;
-  std::vector<HammockOp> taken;
   uint32_t join_pc = target;
 
   const bool straight = std::all_of(fall.begin(), fall.end(), [&](const HammockOp& h) {
-    return arm_op_allowed(h.instr, params_);
+    return arm_op_allowed(h.instr, limits);
   });
   if (!straight) {
     // Diamond: every fall-through op but the last is straight-line, and the
     // last is `b join` (beq $0,$0) hopping over the taken arm.
-    const HammockOp& last = fall.back();
+    const HammockOp last = fall.back();
     const bool body_ok =
         std::all_of(fall.begin(), fall.end() - 1, [&](const HammockOp& h) {
-          return arm_op_allowed(h.instr, params_);
+          return arm_op_allowed(h.instr, limits);
         });
     if (!body_ok || !is_join_jump_instr(last.instr)) {
       ++stats_.hammock_rejects;
@@ -497,17 +526,16 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
       ++stats_.hammock_rejects;
       return false;
     }
-    taken.reserve(static_cast<size_t>(taken_len));
     for (int k = 0; k < taken_len; ++k) {
       const uint32_t pc = target + static_cast<uint32_t>(k) * 4;
       std::optional<Instr> instr = code_reader_(pc);
-      if (!instr || !arm_op_allowed(*instr, params_)) {
+      if (!instr || !arm_op_allowed(*instr, limits)) {
         ++stats_.hammock_rejects;
         return false;
       }
       taken.push_back(HammockOp{*instr, pc});
     }
-    not_taken.pop_back();
+    fall.pop_back();
     join_jump = last;
   } else if (fall_len > max_arm) {
     ++stats_.hammock_rejects;
@@ -515,21 +543,22 @@ bool Translator::try_hammock_merge(const Instr& branch, uint32_t branch_pc) {
   }
 
   // Merge into a copy: a failed attempt must leave the capture exactly as
-  // the speculation/finalize path expects it.
-  ConfigBuilder trial = *builder_;
-  if (!trial.try_merge_hammock(branch, branch_pc, not_taken,
-                               join_jump ? &*join_jump : nullptr, taken)) {
+  // the speculation/finalize path expects it. Copy-assignment reuses the
+  // trial builder's storage.
+  trial_ = builder_;
+  if (!trial_.try_merge_hammock(branch, branch_pc, fall,
+                                join_jump ? &*join_jump : nullptr, taken)) {
     ++stats_.hammock_rejects;
     return false;
   }
-  builder_ = std::move(trial);
+  std::swap(builder_, trial_);
   skipping_ = true;
   skip_lo_ = branch_pc + 4;
   skip_until_ = join_pc;
   ++stats_.hammocks_merged;
-  emit(obs::EventKind::kHammockMerged, builder_->start_pc(),
-       static_cast<int32_t>(not_taken.size() + taken.size()),
-       builder_->pred_slots(), branch_pc);
+  emit(obs::EventKind::kHammockMerged, builder_.start_pc(),
+       static_cast<int32_t>(fall.size() + taken.size()),
+       builder_.pred_slots(), branch_pc);
   return true;
 }
 
@@ -539,7 +568,7 @@ void Translator::observe(const sim::StepInfo& info) {
   const bool is_cond_branch = isa::is_branch(i.op);
   const bool is_flow = is_cond_branch || isa::is_jump(i.op);
 
-  if (builder_ && skipping_) {
+  if (capturing_ && skipping_) {
     if (info.pc == skip_until_) {
       // The hammock's join point: both arms are already placed, resume the
       // normal capture with this instruction.
@@ -557,7 +586,7 @@ void Translator::observe(const sim::StepInfo& info) {
     }
   }
 
-  if (builder_) {
+  if (capturing_) {
     if (is_cond_branch) {
       // The current basic block ends here. Merge it and keep going only if
       // speculation is enabled, depth remains, and this branch's counter is
@@ -570,10 +599,10 @@ void Translator::observe(const sim::StepInfo& info) {
       // builder holds <= max_spec_bbs blocks, so a finished configuration
       // spans at most max_spec_bbs + 1 blocks total — pinned by
       // Translator.SpeculationDepthCountsBlocksBeyondTheFirst.
-      if (params_.speculation && builder_->num_bbs() <= params_.max_spec_bbs) {
+      if (params_.speculation && builder_.num_bbs() <= params_.max_spec_bbs) {
         const auto dir = predictor_->saturated_direction(info.pc);
         if (dir.has_value() && *dir == info.taken) {
-          merged = builder_->try_add_branch(i, info.pc, *dir);
+          merged = builder_.try_add_branch(i, info.pc, *dir);
         }
       }
       // If-conversion is tried only after the speculation path declined, so
@@ -586,7 +615,7 @@ void Translator::observe(const sim::StepInfo& info) {
     } else if (!translatable(i.op)) {
       finalize_capture(info.pc);
       start_pending_ = is_flow;  // jumps also delimit basic blocks
-    } else if (!builder_->try_add(i, info.pc)) {
+    } else if (!builder_.try_add(i, info.pc)) {
       // Array capacity exhausted: save what fits (this instruction resumes
       // on the processor).
       finalize_capture(info.pc);
@@ -599,11 +628,12 @@ void Translator::observe(const sim::StepInfo& info) {
       // A genuine sequence start with no stored configuration: the one
       // event that counts as a reconfiguration-cache miss.
       cache_->note_miss();
-      builder_.emplace(info.pc, params_);
+      builder_.reset(info.pc);
+      capturing_ = true;
       ++stats_.captures_started;
       emit(obs::EventKind::kCaptureStarted, info.pc);
       start_pending_ = false;
-      if (!builder_->try_add(i, info.pc)) abort_capture();
+      if (!builder_.try_add(i, info.pc)) abort_capture();
     } else if (is_flow) {
       start_pending_ = true;
     } else if (start_pending_ && cache_->contains(info.pc)) {

@@ -131,14 +131,44 @@ struct HammockOp {
 // the owner re-attaches it after a checkpoint restore.
 using CodeReader = std::function<std::optional<isa::Instr>(uint32_t)>;
 
+// The part of TranslatorParams a ConfigBuilder consults while placing. A
+// builder keeps its own copy of these (trivially copyable, unlike the
+// params), so it never refers back to the params it was made from.
+struct BuildLimits {
+  explicit BuildLimits(const TranslatorParams& p)
+      : shape(p.shape),
+        max_input_regs(p.max_input_regs),
+        max_output_regs(p.max_output_regs),
+        max_immediates(p.max_immediates),
+        max_pred_slots(p.max_pred_slots),
+        allow_mem(p.allow_mem),
+        allow_shifts(p.allow_shifts),
+        allow_mult(p.allow_mult),
+        fault(p.fault) {}
+
+  rra::ArrayShape shape;
+  int max_input_regs;
+  int max_output_regs;
+  int max_immediates;
+  int max_pred_slots;
+  bool allow_mem;
+  bool allow_shifts;
+  bool allow_mult;
+  FaultInjection fault;
+};
+
 // The DIM detection-phase tables for one in-flight translation.
 class ConfigBuilder {
  public:
   ConfigBuilder(uint32_t start_pc, const TranslatorParams& params);
 
-  // Checkpoint restore: rebuilds the builder from exported state. The
-  // params must be the ones the state was exported under.
-  ConfigBuilder(const BuilderState& state, const TranslatorParams& params);
+  // Empties the tables for a new capture at `start_pc`, keeping the
+  // storage, so a reused builder does not allocate.
+  void reset(uint32_t start_pc);
+
+  // Checkpoint restore: replaces the tables with exported state. The
+  // builder's params must be the ones the state was exported under.
+  void restore(const BuilderState& state);
 
   // Attempts to place a (supported, non-branch) instruction. Returns false
   // when a capacity limit is hit; the builder is left unchanged.
@@ -170,6 +200,7 @@ class ConfigBuilder {
   int num_bbs() const { return bb_ + 1; }
   int pred_slots() const { return pred_slots_; }
   uint32_t start_pc() const { return start_pc_; }
+  const BuildLimits& limits() const { return limits_; }
 
  private:
   struct RowUse {
@@ -191,7 +222,7 @@ class ConfigBuilder {
 
   bool place(const isa::Instr& instr, uint32_t pc, const PlaceOpts& opts);
 
-  TranslatorParams params_;
+  BuildLimits limits_;
   uint32_t start_pc_;
   std::vector<rra::ArrayOp> ops_;
   std::vector<RowUse> rows_;
@@ -199,6 +230,8 @@ class ConfigBuilder {
   std::array<int, rra::kNumCtxRegs> last_writer_row_;
   std::bitset<rra::kNumCtxRegs> input_ctx_;  // reads table (input context)
   std::bitset<rra::kNumCtxRegs> written_;    // writes table
+  int num_inputs_ = 0;   // input_ctx_.count(), kept current
+  int num_written_ = 0;  // written_.count(), kept current
   int last_mem_row_ = -1;
   int last_store_row_ = -1;
   int bb_ = 0;
@@ -252,7 +285,7 @@ class Translator {
                        uint32_t branch_pc, bool predicted_taken);
 
   bool extending() const { return extending_; }
-  bool capturing() const { return builder_.has_value(); }
+  bool capturing() const { return capturing_; }
   const TranslatorStats& stats() const { return stats_; }
   const TranslatorParams& params() const { return params_; }
 
@@ -281,7 +314,16 @@ class Translator {
   TranslatorParams params_;
   ReconfigCache* cache_;
   BimodalPredictor* predictor_;
-  std::optional<ConfigBuilder> builder_;
+  // The in-flight capture, valid while capturing_. Both builders are
+  // reused for every capture: `trial_` holds a hammock merge or an
+  // extension replay until it succeeds and is swapped in, so a capture
+  // costs no allocation once their storage has grown.
+  ConfigBuilder builder_;
+  ConfigBuilder trial_;
+  bool capturing_ = false;
+  // Hammock arms read ahead of the retired stream (reused storage).
+  std::vector<HammockOp> fall_arm_;
+  std::vector<HammockOp> taken_arm_;
   bool start_pending_ = true;  // program entry starts a sequence
   bool extending_ = false;
   bool skipping_ = false;      // inside a merged hammock's retire window

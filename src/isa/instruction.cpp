@@ -63,127 +63,4 @@ const char* op_name(Op op) {
   return "?";
 }
 
-bool is_branch(Op op) {
-  switch (op) {
-    case Op::kBeq: case Op::kBne: case Op::kBlez: case Op::kBgtz:
-    case Op::kBltz: case Op::kBgez: case Op::kBltzal: case Op::kBgezal:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_jump(Op op) {
-  return op == Op::kJ || op == Op::kJal || op == Op::kJr || op == Op::kJalr;
-}
-
-bool is_load(Op op) {
-  switch (op) {
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu: case Op::kLhu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_store(Op op) {
-  return op == Op::kSb || op == Op::kSh || op == Op::kSw;
-}
-
-bool is_mult_div(Op op) {
-  return op == Op::kMult || op == Op::kMultu || op == Op::kDiv || op == Op::kDivu;
-}
-
-bool is_hilo_read(Op op) { return op == Op::kMfhi || op == Op::kMflo; }
-
-bool is_shift(Op op) {
-  switch (op) {
-    case Op::kSll: case Op::kSrl: case Op::kSra:
-    case Op::kSllv: case Op::kSrlv: case Op::kSrav:
-      return true;
-    default:
-      return false;
-  }
-}
-
-FuKind fu_kind(Op op) {
-  if (is_load(op) || is_store(op)) return FuKind::kLdSt;
-  if (op == Op::kMult || op == Op::kMultu) return FuKind::kMul;
-  switch (op) {
-    case Op::kSll: case Op::kSrl: case Op::kSra:
-    case Op::kSllv: case Op::kSrlv: case Op::kSrav:
-    case Op::kAdd: case Op::kAddu: case Op::kSub: case Op::kSubu:
-    case Op::kAnd: case Op::kOr: case Op::kXor: case Op::kNor:
-    case Op::kSlt: case Op::kSltu:
-    case Op::kAddi: case Op::kAddiu: case Op::kSlti: case Op::kSltiu:
-    case Op::kAndi: case Op::kOri: case Op::kXori: case Op::kLui:
-      return FuKind::kAlu;
-    default:
-      return FuKind::kNone;
-  }
-}
-
-bool dim_supported(Op op) {
-  // Multiplications occupy a multiplier FU; mfhi/mflo immediately after a
-  // mult are folded by the translator, so the HI/LO moves themselves are
-  // handled there, not here.
-  return fu_kind(op) != FuKind::kNone;
-}
-
-int dest_reg(const Instr& i) {
-  switch (i.op) {
-    case Op::kSll: case Op::kSrl: case Op::kSra:
-    case Op::kSllv: case Op::kSrlv: case Op::kSrav:
-    case Op::kAdd: case Op::kAddu: case Op::kSub: case Op::kSubu:
-    case Op::kAnd: case Op::kOr: case Op::kXor: case Op::kNor:
-    case Op::kSlt: case Op::kSltu:
-    case Op::kMfhi: case Op::kMflo:
-      return i.rd == 0 ? -1 : i.rd;
-    case Op::kJalr:
-      return i.rd == 0 ? -1 : i.rd;
-    case Op::kAddi: case Op::kAddiu: case Op::kSlti: case Op::kSltiu:
-    case Op::kAndi: case Op::kOri: case Op::kXori: case Op::kLui:
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu: case Op::kLhu:
-      return i.rt == 0 ? -1 : i.rt;
-    case Op::kJal: case Op::kBltzal: case Op::kBgezal:
-      return 31;
-    default:
-      return -1;
-  }
-}
-
-int src_regs(const Instr& i, int out[2]) {
-  switch (i.op) {
-    // shamt shifts read only rt
-    case Op::kSll: case Op::kSrl: case Op::kSra:
-      out[0] = i.rt;
-      return 1;
-    // variable shifts read rs (amount) and rt (value)
-    case Op::kSllv: case Op::kSrlv: case Op::kSrav:
-      out[0] = i.rs; out[1] = i.rt;
-      return 2;
-    case Op::kAdd: case Op::kAddu: case Op::kSub: case Op::kSubu:
-    case Op::kAnd: case Op::kOr: case Op::kXor: case Op::kNor:
-    case Op::kSlt: case Op::kSltu:
-    case Op::kMult: case Op::kMultu: case Op::kDiv: case Op::kDivu:
-    case Op::kBeq: case Op::kBne:
-      out[0] = i.rs; out[1] = i.rt;
-      return 2;
-    case Op::kAddi: case Op::kAddiu: case Op::kSlti: case Op::kSltiu:
-    case Op::kAndi: case Op::kOri: case Op::kXori:
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu: case Op::kLhu:
-    case Op::kBlez: case Op::kBgtz: case Op::kBltz: case Op::kBgez:
-    case Op::kBltzal: case Op::kBgezal:
-    case Op::kJr: case Op::kJalr:
-    case Op::kMthi: case Op::kMtlo:
-      out[0] = i.rs;
-      return 1;
-    case Op::kSb: case Op::kSh: case Op::kSw:
-      out[0] = i.rs; out[1] = i.rt;  // base address and stored value
-      return 2;
-    default:
-      return 0;
-  }
-}
-
 }  // namespace dim::isa

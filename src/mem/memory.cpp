@@ -8,17 +8,12 @@
 namespace dim::mem {
 
 Memory::Page& Memory::page_for(uint32_t addr) {
+  if (Page* p = find_page(addr)) return *p;
   const uint32_t key = addr >> kPageBits;
-  auto it = pages_.find(key);
-  if (it == pages_.end()) {
-    it = pages_.emplace(key, Page(kPageSize, 0)).first;
-  }
-  return it->second;
-}
-
-const Memory::Page* Memory::find_page(uint32_t addr) const {
-  auto it = pages_.find(addr >> kPageBits);
-  return it == pages_.end() ? nullptr : &it->second;
+  Page& page = pages_.emplace(key, Page(kPageSize, 0)).first->second;
+  tlb_key_ = key;
+  tlb_page_ = &page;
+  return page;
 }
 
 uint8_t Memory::read8(uint32_t addr) const {
@@ -113,6 +108,7 @@ void Memory::restore_pages(
     }
   }
   pages_.clear();
+  reset_tlb();
   for (const auto& [key, bytes] : pages) pages_[key] = bytes;
 }
 

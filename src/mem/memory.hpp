@@ -17,6 +17,29 @@ class Memory {
   static constexpr uint32_t kPageBits = 16;  // 64 KiB pages
   static constexpr uint32_t kPageSize = 1u << kPageBits;
 
+  // Copies and moves never carry the page TLB along: it points into the
+  // source's pages.
+  Memory() = default;
+  Memory(const Memory& other) : pages_(other.pages_) {}
+  Memory(Memory&& other) noexcept : pages_(std::move(other.pages_)) {
+    other.reset_tlb();
+  }
+  Memory& operator=(const Memory& other) {
+    if (this != &other) {
+      pages_ = other.pages_;
+      reset_tlb();
+    }
+    return *this;
+  }
+  Memory& operator=(Memory&& other) noexcept {
+    if (this != &other) {
+      pages_ = std::move(other.pages_);
+      reset_tlb();
+      other.reset_tlb();
+    }
+    return *this;
+  }
+
   uint8_t read8(uint32_t addr) const;
   uint16_t read16(uint32_t addr) const;
   uint32_t read32(uint32_t addr) const;
@@ -67,17 +90,40 @@ class Memory {
     return p ? p->data() : nullptr;
   }
   uint8_t* page_data_mut(uint32_t addr) {
-    auto it = pages_.find(addr >> kPageBits);
-    return it == pages_.end() ? nullptr : it->second.data();
+    Page* p = find_page(addr);
+    return p ? p->data() : nullptr;
   }
 
  private:
   using Page = std::vector<uint8_t>;
+  static constexpr uint32_t kNoPage = ~0u;  // no page index is this large
 
   Page& page_for(uint32_t addr);
-  const Page* find_page(uint32_t addr) const;
+
+  // The allocated page holding `addr`, or nullptr. The last page found is
+  // remembered (a one-entry TLB), so runs of accesses to one page skip the
+  // hash map. Only allocated pages are remembered, and page buffers never
+  // move or die while the map holds them, so the entry stays valid until
+  // the map itself is replaced (copy, move, restore_pages). Because a
+  // const read updates the TLB, one Memory must not be read from two
+  // threads at once.
+  Page* find_page(uint32_t addr) const {
+    const uint32_t key = addr >> kPageBits;
+    if (key == tlb_key_) return tlb_page_;
+    auto it = pages_.find(key);
+    if (it == pages_.end()) return nullptr;
+    tlb_key_ = key;
+    tlb_page_ = const_cast<Page*>(&it->second);
+    return tlb_page_;
+  }
+  void reset_tlb() {
+    tlb_key_ = kNoPage;
+    tlb_page_ = nullptr;
+  }
 
   std::unordered_map<uint32_t, Page> pages_;
+  mutable uint32_t tlb_key_ = kNoPage;
+  mutable Page* tlb_page_ = nullptr;
 };
 
 }  // namespace dim::mem

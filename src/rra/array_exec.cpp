@@ -5,6 +5,7 @@
 #include <bitset>
 
 #include "common/bitutil.hpp"
+#include "common/inline_vec.hpp"
 #include "sim/executor.hpp"
 
 namespace dim::rra {
@@ -15,28 +16,36 @@ using isa::Op;
 namespace {
 
 // Byte-granular store buffer: speculative stores stay here until commit,
-// and younger loads see them (store-to-load forwarding).
+// and younger loads see them (store-to-load forwarding). Entries live
+// inline up to a typical configuration's store count, so an activation
+// does not allocate. Address arithmetic wraps at 2^32 like the core's.
 class StoreBuffer {
  public:
   void store(uint32_t addr, int width, uint32_t value) {
-    entries_.push_back(Entry{addr, value, width});
+    entries_.push_back(Entry{addr, value, static_cast<uint32_t>(width)});
   }
 
-  // Reads one byte through the buffer, falling back to memory.
-  uint8_t load_byte(uint32_t addr, const mem::Memory& memory) const {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-      if (addr >= it->addr && addr < it->addr + static_cast<uint32_t>(it->width)) {
-        const uint32_t shift = (addr - it->addr) * 8;
-        return static_cast<uint8_t>(it->value >> shift);
+  // Loads `width` bytes at `addr`: straight from memory when no buffered
+  // store overlaps them, byte by byte (youngest store first) otherwise.
+  uint32_t load(uint32_t addr, int width, const mem::Memory& memory) const {
+    const uint32_t w = static_cast<uint32_t>(width);
+    bool overlap = false;
+    for (const Entry& e : entries_) {
+      if (addr - e.addr < e.width || e.addr - addr < w) {
+        overlap = true;
+        break;
       }
     }
-    return memory.read8(addr);
-  }
-
-  uint32_t load(uint32_t addr, int width, const mem::Memory& memory) const {
+    if (!overlap) {
+      switch (width) {
+        case 1: return memory.read8(addr);
+        case 2: return memory.read16(addr);
+        default: return memory.read32(addr);
+      }
+    }
     uint32_t value = 0;
-    for (int b = 0; b < width; ++b) {
-      value |= static_cast<uint32_t>(load_byte(addr + static_cast<uint32_t>(b), memory)) << (8 * b);
+    for (uint32_t b = 0; b < w; ++b) {
+      value |= static_cast<uint32_t>(load_byte(addr + b, memory)) << (8 * b);
     }
     return value;
   }
@@ -55,9 +64,19 @@ class StoreBuffer {
   struct Entry {
     uint32_t addr;
     uint32_t value;
-    int width;
+    uint32_t width;
   };
-  std::vector<Entry> entries_;
+
+  uint8_t load_byte(uint32_t addr, const mem::Memory& memory) const {
+    for (size_t k = entries_.size(); k-- > 0;) {
+      const Entry& e = entries_[k];
+      const uint32_t offset = addr - e.addr;
+      if (offset < e.width) return static_cast<uint8_t>(e.value >> (offset * 8));
+    }
+    return memory.read8(addr);
+  }
+
+  InlineVec<Entry, 16> entries_;
 };
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/inline_vec.hpp"
 #include "mem/cache.hpp"
 #include "mem/memory.hpp"
 #include "rra/configuration.hpp"
@@ -32,7 +33,9 @@ struct ArrayExecOutcome {
   int committed_bbs = 0;
   bool misspeculated = false;
   uint32_t misspec_branch_pc = 0;
-  std::vector<BranchOutcome> branch_outcomes;
+  // In retirement order. Inline up to a typical configuration's branch
+  // count, so an activation does not allocate.
+  InlineVec<BranchOutcome, 8> branch_outcomes;
 
   // Timing.
   uint64_t exec_cycles = 0;           // row evaluation

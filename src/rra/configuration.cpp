@@ -4,36 +4,6 @@
 
 namespace dim::rra {
 
-using isa::Instr;
-using isa::Op;
-
-int array_srcs(const Instr& i, int out[2]) {
-  switch (i.op) {
-    case Op::kMfhi:
-      out[0] = kCtxHi;
-      return 1;
-    case Op::kMflo:
-      out[0] = kCtxLo;
-      return 1;
-    default:
-      return isa::src_regs(i, out);
-  }
-}
-
-int array_dests(const Instr& i, int out[2]) {
-  if (i.op == Op::kMult || i.op == Op::kMultu) {
-    out[0] = kCtxHi;
-    out[1] = kCtxLo;
-    return 2;
-  }
-  const int d = isa::dest_reg(i);
-  if (d > 0) {
-    out[0] = d;
-    return 1;
-  }
-  return 0;
-}
-
 uint64_t rows_exec_cycles(const Configuration& config, int last_row,
                           const ArrayTimingParams& timing) {
   uint64_t cycles = 0;

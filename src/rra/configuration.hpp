@@ -18,9 +18,33 @@ inline constexpr int kCtxLo = 33;
 inline constexpr int kNumCtxRegs = 34;
 
 // Context-register sources of `i` when executed inside the array.
-int array_srcs(const isa::Instr& i, int out[2]);
+inline int array_srcs(const isa::Instr& i, int out[2]) {
+  switch (i.op) {
+    case isa::Op::kMfhi:
+      out[0] = kCtxHi;
+      return 1;
+    case isa::Op::kMflo:
+      out[0] = kCtxLo;
+      return 1;
+    default:
+      return isa::src_regs(i, out);
+  }
+}
+
 // Context-register destinations (mult writes both HI and LO).
-int array_dests(const isa::Instr& i, int out[2]);
+inline int array_dests(const isa::Instr& i, int out[2]) {
+  if (i.op == isa::Op::kMult || i.op == isa::Op::kMultu) {
+    out[0] = kCtxHi;
+    out[1] = kCtxLo;
+    return 2;
+  }
+  const int d = isa::dest_reg(i);
+  if (d > 0) {
+    out[0] = d;
+    return 1;
+  }
+  return 0;
+}
 
 enum class RowKind : uint8_t { kAlu, kMul, kMem };
 

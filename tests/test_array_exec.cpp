@@ -1,7 +1,10 @@
 // Functional and timing behavior of the reconfigurable array execution.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bt/translator.hpp"
+#include "isa/encoder.hpp"
 #include "rra/array_exec.hpp"
 #include "sim/executor.hpp"
 
@@ -187,6 +190,134 @@ TEST(ArrayExec, HiLoInputContext) {
   mem::Memory m;
   execute_configuration(c, s, m, nullptr, ArrayTimingParams{});
   EXPECT_EQ(s.regs[10], 1234u);
+}
+
+// --- Loads against buffered stores ------------------------------------------
+// A load reads memory in one access when no buffered store overlaps its
+// bytes, and byte by byte otherwise. Each case runs the same straight-line
+// code on the array and on the core and compares the results.
+
+void expect_array_matches_core(const std::vector<Instr>& code, uint32_t base,
+                               const mem::Memory& initial) {
+  constexpr uint32_t kCodePc = 0x00400000;
+  bt::ConfigBuilder b(kCodePc, default_params());
+  for (size_t k = 0; k < code.size(); ++k) {
+    ASSERT_TRUE(b.try_add(code[k], kCodePc + 4 * static_cast<uint32_t>(k))) << k;
+  }
+  const uint32_t end_pc = kCodePc + 4 * static_cast<uint32_t>(code.size());
+  const Configuration c = b.finalize(end_pc);
+
+  sim::CpuState array_state;
+  array_state.regs[8] = base;
+  mem::Memory array_mem = initial;
+  execute_configuration(c, array_state, array_mem, nullptr, ArrayTimingParams{});
+
+  sim::CpuState core_state;
+  core_state.regs[8] = base;
+  core_state.pc = kCodePc;
+  mem::Memory core_mem = initial;
+  for (size_t k = 0; k < code.size(); ++k) {
+    core_mem.write32(kCodePc + 4 * static_cast<uint32_t>(k), isa::encode(code[k]));
+  }
+  for (size_t k = 0; k < code.size(); ++k) sim::step(core_state, core_mem);
+
+  EXPECT_EQ(array_state.pc, end_pc);
+  for (int r = 0; r < 32; ++r) EXPECT_EQ(array_state.regs[r], core_state.regs[r]) << "$" << r;
+  // The core's memory also holds the code; compare the data words only.
+  for (uint32_t a = base - 8; a != base + 16; a += 4) {
+    EXPECT_EQ(array_mem.read32(a), core_mem.read32(a)) << std::hex << a;
+  }
+}
+
+mem::Memory patterned(uint32_t base) {
+  mem::Memory m;
+  for (uint32_t k = 0; k < 24; ++k) {
+    m.write8(base - 8 + k, static_cast<uint8_t>(0xA0 + k));
+  }
+  return m;
+}
+
+TEST(ArrayExecLoads, SubWordStoresThenWordLoads) {
+  const uint32_t base = 0x10008000;
+  expect_array_matches_core({imm(Op::kAddiu, 9, 0, 0x5A5),
+                             imm(Op::kSb, 9, 8, 1),
+                             imm(Op::kSh, 9, 8, 6),
+                             imm(Op::kLw, 10, 8, 0),    // one byte forwarded
+                             imm(Op::kLw, 11, 8, 4),    // two bytes forwarded
+                             imm(Op::kLw, 12, 8, 8)},   // no overlap: one read
+                            base, patterned(base));
+}
+
+TEST(ArrayExecLoads, WordStoreThenByteAndHalfLoads) {
+  const uint32_t base = 0x10008000;
+  expect_array_matches_core({imm(Op::kLui, 9, 0, static_cast<int16_t>(0x8182)),
+                             imm(Op::kOri, 9, 9, static_cast<int16_t>(0x83F4)),
+                             imm(Op::kSw, 9, 8, 0),
+                             imm(Op::kLb, 10, 8, 3),    // sign-extended 0x81
+                             imm(Op::kLbu, 11, 8, 0),
+                             imm(Op::kLh, 12, 8, 2),
+                             imm(Op::kLhu, 13, 8, 1),
+                             imm(Op::kLh, 14, 8, 3),    // half in, half out
+                             imm(Op::kLbu, 15, 8, 4)},  // just past the store
+                            base, patterned(base));
+}
+
+TEST(ArrayExecLoads, OverlapAcrossAPageBoundary) {
+  const uint32_t base = mem::Memory::kPageSize - 4;  // 0xFFFC
+  expect_array_matches_core({imm(Op::kAddiu, 9, 0, 0x1234),
+                             imm(Op::kSw, 9, 8, 2),     // bytes 0xFFFE..0x10001
+                             imm(Op::kLw, 10, 8, 4),    // 0x10000: two bytes forwarded
+                             imm(Op::kLw, 11, 8, 0),    // 0xFFFC: two bytes forwarded
+                             imm(Op::kLhu, 12, 8, 3),   // straddles the boundary
+                             imm(Op::kLw, 13, 8, 6),    // no overlap, next page
+                             imm(Op::kLw, 14, 8, -4)},  // no overlap, previous page
+                            base, patterned(base));
+}
+
+TEST(ArrayExecLoads, OverlapWhereTheAddressWraps) {
+  const uint32_t base = 0xFFFFFFFCu;
+  expect_array_matches_core({imm(Op::kAddiu, 9, 0, -2),
+                             imm(Op::kSw, 9, 8, 2),     // bytes 0xFFFFFFFE..0x1
+                             imm(Op::kLw, 10, 8, 0),    // 0xFFFFFFFC: upper half forwarded
+                             imm(Op::kLw, 11, 8, 4),    // address 0: lower half forwarded
+                             imm(Op::kLbu, 12, 8, 5),   // address 1, forwarded
+                             imm(Op::kLhu, 13, 8, 6),   // address 2, no overlap
+                             imm(Op::kSh, 9, 8, 3),     // 0xFFFFFFFF and 0
+                             imm(Op::kLw, 14, 8, 4)},   // youngest store wins byte 0
+                            base, patterned(base));
+}
+
+TEST(ArrayExec, BranchOutcomesBeyondInlineCapacityKeepOrder) {
+  // 12 resolved branches: more than the outcome list holds inline.
+  bt::ConfigBuilder b(0x100, default_params());
+  ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
+  for (uint32_t k = 0; k < 12; ++k) {
+    const bool taken = k % 3 == 0;  // beq taken when t0 == t0, bne never
+    const Instr br = imm(taken ? Op::kBeq : Op::kBne, 8, 8, 0);
+    ASSERT_TRUE(b.try_add_branch(br, 0x104 + 4 * k, taken));
+  }
+  const Configuration c = b.finalize(0x200);
+  sim::CpuState s;
+  mem::Memory m;
+  const ArrayExecOutcome out = execute_configuration(c, s, m, nullptr, ArrayTimingParams{});
+  EXPECT_FALSE(out.misspeculated);
+  ASSERT_EQ(out.branch_outcomes.size(), 12u);
+  EXPECT_TRUE(out.branch_outcomes.on_heap());
+  for (uint32_t k = 0; k < 12; ++k) {
+    EXPECT_EQ(out.branch_outcomes[k].pc, 0x104 + 4 * k);
+    EXPECT_EQ(out.branch_outcomes[k].taken, k % 3 == 0);
+    EXPECT_TRUE(out.branch_outcomes[k].matched);
+  }
+  // Copies and moves keep every outcome, in order.
+  const ArrayExecOutcome copy = out;
+  ArrayExecOutcome source = out;
+  const ArrayExecOutcome moved = std::move(source);
+  ASSERT_EQ(copy.branch_outcomes.size(), 12u);
+  ASSERT_EQ(moved.branch_outcomes.size(), 12u);
+  for (uint32_t k = 0; k < 12; ++k) {
+    EXPECT_EQ(copy.branch_outcomes[k].pc, 0x104 + 4 * k);
+    EXPECT_EQ(moved.branch_outcomes[k].pc, 0x104 + 4 * k);
+  }
 }
 
 // --- Timing -------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -219,6 +221,147 @@ TEST(Memory, RestorePagesReplacesTheImage) {
 
   // Wrong-sized pages are a deserialization bug, not a silent truncation.
   EXPECT_THROW(dst.restore_pages({{0u, std::vector<uint8_t>(100)}}), std::invalid_argument);
+}
+
+// --- Page TLB --------------------------------------------------------------
+// Memory remembers the last page it found. These pin that a copy, a move
+// or a restore never reads or writes through a page that belongs to
+// another image.
+
+TEST(MemoryTlb, CopyDoesNotShareTheSourcePage) {
+  Memory a;
+  a.write32(0x1000, 0x11111111);
+  EXPECT_EQ(a.read32(0x1000), 0x11111111u);  // a's TLB now holds page 0
+  Memory b(a);
+  b.write32(0x1000, 0x22222222);
+  EXPECT_EQ(a.read32(0x1000), 0x11111111u);
+  EXPECT_EQ(b.read32(0x1000), 0x22222222u);
+
+  Memory c;
+  c.write8(0x1000, 0x33);
+  EXPECT_EQ(c.read8(0x1000), 0x33);
+  c = a;  // copy assignment drops c's old page
+  c.write8(0x1000, 0x44);
+  EXPECT_EQ(c.read32(0x1000), 0x11111144u);
+  EXPECT_EQ(a.read32(0x1000), 0x11111111u);
+}
+
+TEST(MemoryTlb, MoveLeavesBothSidesConsistent) {
+  Memory a;
+  a.write32(0x2000, 0xAAAAAAAA);
+  EXPECT_EQ(a.read32(0x2000), 0xAAAAAAAAu);
+  Memory b(std::move(a));
+  EXPECT_EQ(b.read32(0x2000), 0xAAAAAAAAu);
+  // The moved-from image is empty and must not reach b's page.
+  a = Memory();
+  EXPECT_EQ(a.read32(0x2000), 0u);
+  a.write32(0x2000, 0xBBBBBBBB);
+  EXPECT_EQ(a.read32(0x2000), 0xBBBBBBBBu);
+  EXPECT_EQ(b.read32(0x2000), 0xAAAAAAAAu);
+
+  Memory c;
+  c.write32(0x2000, 0xCCCCCCCC);
+  EXPECT_EQ(c.read32(0x2000), 0xCCCCCCCCu);
+  c = std::move(b);  // move assignment replaces c's page
+  EXPECT_EQ(c.read32(0x2000), 0xAAAAAAAAu);
+  c.write8(0x2000, 0x01);
+  EXPECT_EQ(c.read32(0x2000), 0xAAAAAA01u);
+  EXPECT_EQ(a.read32(0x2000), 0xBBBBBBBBu);
+}
+
+TEST(MemoryTlb, RestorePagesReplacesTheRememberedPage) {
+  Memory m;
+  m.write32(0x3000, 0x12345678);
+  EXPECT_EQ(m.read32(0x3000), 0x12345678u);
+  std::vector<uint8_t> page(Memory::kPageSize, 0);
+  page[0x3000] = 0x9A;
+  m.restore_pages({{0u, page}});
+  EXPECT_EQ(m.read32(0x3000), 0x9Au);
+  m.write8(0x3001, 0xBC);
+  EXPECT_EQ(m.read32(0x3000), 0xBC9Au);
+  m.restore_pages({});
+  EXPECT_EQ(m.read32(0x3000), 0u);
+  EXPECT_EQ(m.pages_allocated(), 0u);
+}
+
+TEST(MemoryTlb, WriteToAFreshPageAfterReadingItAbsent) {
+  Memory m;
+  m.write8(0x10, 1);                           // page 0 present
+  EXPECT_EQ(m.read8(0x10), 1);
+  EXPECT_EQ(m.read32(0x50000), 0u);            // page 5 absent
+  EXPECT_EQ(m.page_data(0x50000), nullptr);
+  m.write32(0x50000, 0xDEADBEEF);              // now allocated
+  EXPECT_EQ(m.read32(0x50000), 0xDEADBEEFu);
+  EXPECT_EQ(m.read8(0x10), 1);
+  EXPECT_EQ(m.read32(0x50000), 0xDEADBEEFu);
+  EXPECT_EQ(m.pages_allocated(), 2u);
+}
+
+TEST(MemoryTlb, PageCrossingWordAccesses) {
+  Memory m;
+  m.write32(0xFFFE, 0x44332211);  // bytes 0xFFFE..0x10001 span pages 0 and 1
+  EXPECT_EQ(m.read8(0xFFFF), 0x22);
+  EXPECT_EQ(m.read8(0x10000), 0x33);
+  EXPECT_EQ(m.read32(0xFFFE), 0x44332211u);
+  EXPECT_EQ(m.read16(0xFFFF), 0x3322);
+  // The top word wraps to address 0.
+  m.write32(0xFFFFFFFE, 0x88776655);
+  EXPECT_EQ(m.read8(0xFFFFFFFF), 0x66);
+  EXPECT_EQ(m.read8(0), 0x77);
+  EXPECT_EQ(m.read32(0xFFFFFFFE), 0x88776655u);
+  EXPECT_EQ(m.read32(0xFFFFFFFC), 0x66550000u);
+}
+
+// Random reads and writes of every width over a few pages (and the wrap
+// at 2^32), checked byte for byte against a std::map, with copies, moves
+// and restores mixed in.
+TEST(MemoryTlb, MatchesByteMapModel) {
+  std::mt19937 rng(2024);
+  const uint32_t bases[] = {0x0, 0xFFF8, 0x20000, 0x7FFF0, 0xFFFFFFF0u};
+  auto address = [&] { return bases[rng() % 5] + rng() % 24; };
+  std::map<uint32_t, uint8_t> model;
+  auto model_read = [&](uint32_t a, int width) {
+    uint32_t v = 0;
+    for (int b = 0; b < width; ++b) {
+      const auto it = model.find(a + static_cast<uint32_t>(b));
+      v |= static_cast<uint32_t>(it == model.end() ? 0 : it->second) << (8 * b);
+    }
+    return v;
+  };
+
+  Memory m;
+  for (int step = 0; step < 20000; ++step) {
+    const uint32_t a = address();
+    const unsigned action = rng() % 100;
+    if (action < 40) {
+      const uint32_t v = rng();
+      const int width = 1 << (rng() % 3);
+      if (width == 1) m.write8(a, static_cast<uint8_t>(v));
+      if (width == 2) m.write16(a, static_cast<uint16_t>(v));
+      if (width == 4) m.write32(a, v);
+      for (int b = 0; b < width; ++b) {
+        model[a + static_cast<uint32_t>(b)] = static_cast<uint8_t>(v >> (8 * b));
+      }
+    } else if (action < 94) {
+      ASSERT_EQ(m.read8(a), model_read(a, 1)) << "step " << step;
+      ASSERT_EQ(m.read16(a), model_read(a, 2)) << "step " << step;
+      ASSERT_EQ(m.read32(a), model_read(a, 4)) << "step " << step;
+    } else if (action < 96) {
+      Memory copy(m);
+      m = copy;
+    } else if (action < 98) {
+      Memory moved(std::move(m));
+      m = std::move(moved);
+    } else {
+      std::vector<std::pair<uint32_t, std::vector<uint8_t>>> pages;
+      for (const auto& [index, bytes] : m.pages_sorted()) pages.emplace_back(index, *bytes);
+      Memory restored;
+      restored.write8(a, 0x5A);  // replaced by the restore
+      EXPECT_EQ(restored.read8(a), 0x5A);
+      restored.restore_pages(pages);
+      m = std::move(restored);
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <vector>
+
 #include "bt/predictor.hpp"
 
 namespace dim::bt {
@@ -66,6 +70,67 @@ TEST(Predictor, Reset) {
   p.reset();
   EXPECT_EQ(p.counter(0x100), 1);
   EXPECT_EQ(p.tracked_branches(), 0u);
+}
+
+// Reference model: the predictor must behave exactly like a std::map of
+// 2-bit counters, through table growth (far more than 64 branches, with
+// PCs that collide in the table's low bits) and checkpoint round trips.
+using Counters = std::vector<std::pair<uint32_t, uint8_t>>;
+
+TEST(Predictor, MatchesMapModelThroughGrowthAndRestore) {
+  std::mt19937 rng(12345);
+  std::vector<uint32_t> pcs;
+  for (uint32_t k = 0; k < 300; ++k) pcs.push_back(0x400000 + 4 * k);
+  for (uint32_t k = 0; k < 40; ++k) pcs.push_back(0x10000u * k);  // same low bits
+  pcs.push_back(0);
+  pcs.push_back(0xFFFFFFFCu);
+
+  BimodalPredictor p;
+  std::map<uint32_t, uint8_t> model;
+  auto model_counter = [&](uint32_t pc) {
+    auto it = model.find(pc);
+    return it == model.end() ? uint8_t{1} : it->second;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const uint32_t pc = pcs[rng() % pcs.size()];
+    const unsigned action = rng() % 100;
+    if (action < 70) {
+      const bool taken = (rng() & 1) != 0;
+      p.update(pc, taken);
+      uint8_t& c = model.try_emplace(pc, uint8_t{1}).first->second;
+      if (taken && c < 3) ++c;
+      if (!taken && c > 0) --c;
+    } else if (action < 99) {
+      ASSERT_EQ(p.counter(pc), model_counter(pc)) << "step " << step;
+      ASSERT_EQ(p.predict(pc), model_counter(pc) >= 2);
+    } else {
+      // Checkpoint round trip through a fresh predictor and back.
+      const auto exported = p.export_counters();
+      ASSERT_EQ(exported, Counters(model.begin(), model.end()));
+      BimodalPredictor copy;
+      copy.restore_counters(exported);
+      ASSERT_EQ(copy.export_counters(), exported);
+      p.restore_counters(copy.export_counters());
+    }
+    ASSERT_EQ(p.tracked_branches(), model.size());
+  }
+  EXPECT_GT(model.size(), 64u);
+  for (uint32_t pc : pcs) EXPECT_EQ(p.counter(pc), model_counter(pc));
+  EXPECT_EQ(p.export_counters(), Counters(model.begin(), model.end()));
+}
+
+TEST(Predictor, RestoreKeepsTheLastDuplicateAndResetEmpties) {
+  BimodalPredictor p;
+  p.restore_counters({{0x100, 3}, {0x200, 0}, {0x100, 2}});
+  EXPECT_EQ(p.tracked_branches(), 2u);
+  EXPECT_EQ(p.counter(0x100), 2);
+  EXPECT_EQ(p.counter(0x200), 0);
+  p.reset();
+  EXPECT_EQ(p.tracked_branches(), 0u);
+  EXPECT_EQ(p.counter(0x100), 1);
+  EXPECT_TRUE(p.export_counters().empty());
+  p.update(0x100, true);
+  EXPECT_EQ(p.counter(0x100), 2);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <random>
+#include <vector>
+
 #include "bt/rcache.hpp"
 
 namespace dim::bt {
@@ -239,6 +245,118 @@ TEST(ReconfigCache, ZeroSlotInsertBurnsNoRevision) {
   ReconfigCache rc(0);
   rc.insert(cfg(0x100));  // nothing stored, nothing stamped
   EXPECT_EQ(rc.counters().revision_counter, 0u);
+}
+
+// Reference model: every query (lookup / probe / contains / peek) must
+// agree with a std::map of the stored entries plus an eviction-order list,
+// across insert, replacement, flush, eviction, restore and preload, for
+// both policies and several slot counts. Many of the PCs share a presence
+// bucket (they differ only in bits above any bucket index).
+void check_against_model(size_t slots, Replacement policy, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<uint32_t> pcs;
+  for (uint32_t k = 0; k < 24; ++k) pcs.push_back(0x400000 + 4 * k);
+  for (uint32_t k = 1; k < 16; ++k) pcs.push_back(0x400000 + 0x4000 * k);  // bucket mates
+  pcs.push_back(0);
+  pcs.push_back(0xFFFFFFFCu);
+
+  ReconfigCache rc(slots, policy);
+  std::map<uint32_t, uint32_t> model;  // pc -> end_pc token of the stored config
+  std::list<uint32_t> order;           // front = next victim
+  uint32_t token = 0;
+  auto to_back = [&](uint32_t pc) {
+    order.remove(pc);
+    order.push_back(pc);
+  };
+  auto config = [&](uint32_t pc) {
+    rra::Configuration c = cfg(pc, 1 + static_cast<int>(rng() % 6));
+    c.end_pc = ++token;
+    return c;
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const uint32_t pc = pcs[rng() % pcs.size()];
+    const unsigned action = rng() % 100;
+    if (action < 30) {
+      rra::Configuration c = config(pc);
+      const uint32_t t = c.end_pc;
+      rc.insert(std::move(c));
+      if (model.count(pc) != 0) {
+        model[pc] = t;
+        if (policy == Replacement::kLru) to_back(pc);
+      } else if (slots > 0) {
+        while (model.size() >= slots) {
+          model.erase(order.front());
+          order.pop_front();
+        }
+        model[pc] = t;
+        order.push_back(pc);
+      }
+    } else if (action < 40) {
+      rc.flush(pc);
+      if (model.erase(pc) != 0) order.remove(pc);
+    } else if (action < 60) {
+      rra::Configuration* c = rc.lookup(pc);
+      ASSERT_EQ(c != nullptr, model.count(pc) != 0) << "step " << step;
+      if (c != nullptr) {
+        ASSERT_EQ(c->end_pc, model[pc]);
+        if (policy == Replacement::kLru) to_back(pc);
+      }
+    } else if (action < 63) {
+      // Restore a random subset of the live entries (in eviction order).
+      std::vector<rra::Configuration> kept;
+      std::list<uint32_t> kept_order;
+      for (const rra::Configuration& c : rc.export_entries()) {
+        if (rng() % 3 != 0) {
+          kept.push_back(c);
+          kept_order.push_back(c.start_pc);
+        } else {
+          model.erase(c.start_pc);
+        }
+      }
+      rc.restore(std::move(kept), rc.counters());
+      order = kept_order;
+    } else if (action < 66) {
+      rra::Configuration c = config(pc);
+      const uint32_t t = c.end_pc;
+      const bool stored = rc.preload(std::move(c));
+      const bool expect = model.size() < slots && model.count(pc) == 0;
+      ASSERT_EQ(stored, expect) << "step " << step;
+      if (stored) {
+        model[pc] = t;
+        order.push_back(pc);
+      }
+    }
+
+    // Every PC answers every query as the model does.
+    for (uint32_t q : pcs) {
+      const auto it = model.find(q);
+      const bool present = it != model.end();
+      ASSERT_EQ(rc.contains(q), present) << "step " << step << " pc " << q;
+      ASSERT_EQ(rc.probe(q) != nullptr, present);
+      const rra::Configuration* c = rc.peek(q);
+      ASSERT_EQ(c != nullptr, present);
+      if (present) {
+        ASSERT_EQ(c->end_pc, it->second);
+      }
+    }
+    ASSERT_EQ(rc.size(), model.size());
+    ASSERT_EQ(rc.fifo_order(), std::vector<uint32_t>(order.begin(), order.end()));
+  }
+}
+
+TEST(ReconfigCache, FifoMatchesMapModel) {
+  for (size_t slots : {0, 1, 4, 16, 64}) {
+    SCOPED_TRACE(slots);
+    check_against_model(slots, Replacement::kFifo, 7 + static_cast<uint32_t>(slots));
+  }
+}
+
+TEST(ReconfigCache, LruMatchesMapModel) {
+  for (size_t slots : {1, 4, 16, 64}) {
+    SCOPED_TRACE(slots);
+    check_against_model(slots, Replacement::kLru, 99 + static_cast<uint32_t>(slots));
+  }
 }
 
 }  // namespace
