@@ -19,6 +19,11 @@ struct Golden {
   uint64_t accel_cycles;  // C#2, 64 slots, speculation
 };
 
+// Without this, gtest prints a Golden as its raw bytes, and the bytes of
+// `name` are a load address: the test names ctest discovers would change
+// on every build and run.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
+
 // Re-pinned after fixing the misspeculated-commit write-back drain: a
 // partial commit now drains only the registers the committed prefix
 // actually wrote, so workloads with misspeculations got slightly cheaper
