@@ -30,7 +30,8 @@
 //                    warm_exported) while warm passes match bytewise.
 //
 // Other flags: --requests N (default 30), --workers N, --store DIR
-// (default: a store under /tmp so the warm pass has something to hit),
+// (default: a fresh per-run directory under the system temp dir, removed
+// on exit; the warm pass still hits the store the cold pass filled),
 // --json PATH (BENCH_serve.json artifact).
 #include <algorithm>
 #include <chrono>
@@ -252,6 +253,27 @@ void write_pass_json(std::ofstream& out, const char* name, const PassResult& p) 
       << ", \"cells_per_sec\": " << p.cells_per_sec << "}";
 }
 
+// A private mkdtemp directory (<tmp>/dimsim-bench-serve-<tag>-XXXXXX) for
+// one run's stores, removed on exit; an empty tag makes none. Per-run
+// paths let concurrent runs share a host.
+struct TempDir {
+  explicit TempDir(const std::string& tag) {
+    if (tag.empty()) return;
+    std::string tmpl = (std::filesystem::temp_directory_path() /
+                        ("dimsim-bench-serve-" + tag + "-XXXXXX")).string();
+    if (mkdtemp(tmpl.data()) == nullptr) {
+      std::perror("bench_serve_load: mkdtemp");
+      std::exit(1);
+    }
+    path = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+  std::string path;
+};
+
 // Multi-process scaling: one pass per worker count, each against a fresh
 // store, plus a single-process reference pass. Every topology must return
 // byte-identical responses — that is the whole point of the exercise.
@@ -261,9 +283,8 @@ int run_procs_mode(const Options& opt) {
   size_t total_cells = 0;
   for (const StreamEntry& e : stream) total_cells += e.cells;
 
-  const std::string store_base = opt.store_dir.empty()
-                                     ? std::string("/tmp/dimsim-bench-serve-procs")
-                                     : opt.store_dir;
+  const TempDir temp(opt.store_dir.empty() ? "procs" : "");
+  const std::string store_base = opt.store_dir.empty() ? temp.path + "/store" : opt.store_dir;
 
   const std::string ref_store = store_base + "-ref";
   std::filesystem::remove_all(ref_store);
@@ -408,13 +429,10 @@ int main(int argc, char** argv) {
     warm = run_pass_socket(client, stream);
     after_warm = query_stats_socket(client);
   } else {
-    if (opt.store_dir.empty()) {
-      opt.store_dir = "/tmp/dimsim-bench-serve-store";
-      std::filesystem::remove_all(opt.store_dir);
-    }
+    const TempDir temp(opt.store_dir.empty() ? "store" : "");
     dim::serve::ServerOptions server_opt;
     server_opt.worker_threads = opt.workers;
-    server_opt.store_dir = opt.store_dir;
+    server_opt.store_dir = opt.store_dir.empty() ? temp.path : opt.store_dir;
     dim::serve::Server server(server_opt);
     cold = run_pass_inprocess(server, stream);
     before_warm = query_stats_inprocess(server);

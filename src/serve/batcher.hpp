@@ -2,7 +2,7 @@
 //
 // All sweep points are mutually independent, so "compatible" batching is
 // concatenation: every sweep (and unbudgeted run) request drained from
-// the admission queue in one dispatcher pass contributes a contiguous
+// the admission queue in one scheduler pass contributes a contiguous
 // slice of one combined grid, the shared SweepEngine runs the whole grid
 // across its worker pool (memoized by the resident result store), and the
 // results are split back per request by slice. Each response depends only

@@ -76,7 +76,7 @@ struct Request {
 
   // scheduling (run/sweep/fuzz). `priority` in [0, kMaxPriority], higher
   // pops first; `deadline_ms` is a relative admission deadline — if the
-  // request is still queued when a dispatcher picks it up past the
+  // request is still queued when the scheduler picks it up past the
   // deadline it is answered `deadline_expired` (0 = already expired,
   // useful for pinning that path deterministically).
   int priority = 0;

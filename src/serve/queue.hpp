@@ -1,4 +1,4 @@
-// Bounded MPMC admission queues: the daemon's overload valve.
+// The bounded MPMC admission queue: the daemon's overload valve.
 //
 // Admission threads try_push and, on a full queue, answer the client with
 // an explicit `overloaded` rejection instead of buffering unboundedly —
@@ -7,85 +7,24 @@
 // is exactly the graceful-shutdown order (stop accepting, finish what was
 // promised).
 //
-// Two queues share that shape: the FIFO BoundedQueue, and AdmissionQueue,
-// which schedules by request priority and deadline — strict priority
+// The queue schedules by request priority and deadline — strict priority
 // first, earliest deadline first within a priority (EDF), and admission
 // order as the final tiebreak, so pop order is a deterministic function
 // of the pushed (key, order) pairs no matter how producers interleaved.
+// It never blocks: whoever waits for it (the serve scheduler, host.hpp)
+// pushes, pops and closes under its own mutex, so its wait cannot miss a
+// change.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 namespace dim::serve {
-
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
-
-  // False when full or closed — never blocks.
-  bool try_push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    ready_.notify_one();
-    return true;
-  }
-
-  // Blocks until an item is available or the queue is closed and empty.
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  // Non-blocking variant (used to fill a batch after the blocking pop).
-  bool try_pop(T& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
 
 // The scheduling identity of one admitted request. Higher priority pops
 // first; within a priority, the earliest absolute deadline pops first and
@@ -98,7 +37,7 @@ struct ScheduleKey {
 };
 
 // Bounded MPMC priority/deadline queue. Pop order is EDF within strict
-// priority; expiry itself is NOT enforced here — the dispatcher checks the
+// priority; expiry itself is NOT enforced here — the scheduler checks the
 // deadline when it picks the item up and answers `deadline_expired`, so an
 // expired request is rejected exactly once, with a response.
 template <typename T>
@@ -108,35 +47,26 @@ class AdmissionQueue {
 
   // False when full or closed — never blocks.
   bool try_push(T item, const ScheduleKey& key) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || heap_.size() >= capacity_) return false;
-      heap_.push_back(Entry{std::move(item), key, next_order_++});
-      std::push_heap(heap_.begin(), heap_.end(), PopsLater{});
-    }
-    ready_.notify_one();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_ || heap_.size() >= capacity_) return false;
+    heap_.push_back(Entry{std::move(item), key, next_order_++});
+    std::push_heap(heap_.begin(), heap_.end(), PopsLater{});
     return true;
   }
 
-  // Blocks until an item is available or the queue is closed and empty.
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [this] { return closed_ || !heap_.empty(); });
-    return pop_locked(out);
-  }
-
-  // Non-blocking variant (used to fill a batch after the blocking pop).
+  // False when empty. A closed queue still pops what it admitted.
   bool try_pop(T& out) {
     std::lock_guard<std::mutex> lock(mutex_);
-    return pop_locked(out);
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), PopsLater{});
+    out = std::move(heap_.back().item);
+    heap_.pop_back();
+    return true;
   }
 
   void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    ready_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
   }
 
   bool closed() const {
@@ -169,17 +99,8 @@ class AdmissionQueue {
     }
   };
 
-  bool pop_locked(T& out) {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), PopsLater{});
-    out = std::move(heap_.back().item);
-    heap_.pop_back();
-    return true;
-  }
-
   const size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable ready_;
   std::vector<Entry> heap_;
   uint64_t next_order_ = 0;
   bool closed_ = false;

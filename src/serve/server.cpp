@@ -19,10 +19,6 @@
 namespace dim::serve {
 namespace {
 
-std::string cancel_key(const RequestId& id) {
-  return (id.is_string ? "s:" : "i:") + id.text;
-}
-
 std::string hex16(uint64_t v) {
   static const char* digits = "0123456789abcdef";
   std::string out(16, '0');
@@ -35,257 +31,42 @@ std::string hex16(uint64_t v) {
 
 }  // namespace
 
-// --- Session ---------------------------------------------------------------
-
-Server::Session::Session(Server* server, ResponseSink sink)
-    : server_(server), sink_(std::move(sink)) {}
-
-uint64_t Server::Session::allocate_seq() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_seq_++;
-}
-
-void Server::Session::complete(uint64_t seq, std::string response_line) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.emplace(seq, std::move(response_line));
-  // Emit every response that is now next in admission order. The sink is
-  // called under the lock, so per-session output is serialized and
-  // ordered by construction.
-  while (!ready_.empty() && ready_.begin()->first == emit_seq_) {
-    const std::string line = std::move(ready_.begin()->second);
-    ready_.erase(ready_.begin());
-    ++emit_seq_;
-    if (sink_) sink_(line);
-  }
-  lock.unlock();
-  drained_.notify_all();
-  {
-    std::lock_guard<std::mutex> clock(server_->counters_mutex_);
-    ++server_->counters_.completed;
-  }
-}
-
-bool Server::Session::submit(const std::string& line) {
-  // Admission decides everything, including the shutting-down rejection
-  // (it knows the request id, so the rejection is still correlatable).
-  server_->admit(shared_from_this(), line);
-  return !server_->shutting_down();
-}
-
-void Server::Session::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  drained_.wait(lock, [this] { return emit_seq_ == next_seq_; });
-}
-
-bool Server::Session::is_canceled(const RequestId& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return canceled_.count(cancel_key(id)) > 0;
-}
-
-void Server::Session::mark_canceled(const RequestId& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  canceled_.insert(cancel_key(id));
-}
-
-void Server::Session::consume_cancel(const RequestId& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  canceled_.erase(cancel_key(id));
-}
-
-// --- Server ----------------------------------------------------------------
-
 Server::Server(ServerOptions options)
-    : options_(options), queue_(options.queue_capacity) {
+    : SessionHost(options.queue_capacity, /*pool_workers=*/0), options_(options) {
   if (options_.checkpoint_interval == 0) options_.checkpoint_interval = 1u << 20;
   if (!options_.store_dir.empty()) {
-    store_ = std::make_unique<snap::ResultStore>(options_.store_dir + "/cells");
+    result_store_ = std::make_unique<snap::ResultStore>(options_.store_dir + "/cells");
+    store_ = result_store_.get();
     std::filesystem::create_directories(options_.store_dir + "/warm");
   }
-  if (options_.auto_dispatch) {
-    dispatcher_ = std::thread([this] { dispatcher_loop(); });
-  }
+  if (options_.auto_dispatch) start();
 }
 
 Server::~Server() { shutdown(); }
 
-std::shared_ptr<SessionHost::Session> Server::open_session(ResponseSink sink) {
-  return std::shared_ptr<Session>(new Session(this, std::move(sink)));
+void Server::execute(std::vector<Job> jobs) {
+  process_batch(jobs, MigrationHooks{},
+                [](const Job& job, std::string line) { finish(job, std::move(line)); });
 }
 
-void Server::shutdown() {
-  bool expected = false;
-  if (shutting_down_.compare_exchange_strong(expected, true)) {
-    queue_.close();
-    shutdown_cv_.notify_all();
-  }
-  if (dispatcher_.joinable()) dispatcher_.join();
+std::string Server::run(const Request& request, const MigrationHooks& hooks) {
+  std::vector<Job> jobs(1);
+  jobs[0].request = request;
+  std::string response;
+  process_batch(jobs, hooks,
+                [&response](const Job&, std::string line) { response = std::move(line); });
+  return response;
 }
 
-void Server::wait_for_shutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [this] { return shutting_down_.load(); });
-}
-
-ServerCounters Server::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  ServerCounters c = counters_;
-  if (store_ != nullptr) {
-    c.has_store = true;
-    c.store = store_->counters();
-  }
-  return c;
-}
-
-void Server::dispatch_pending() {
-  std::vector<WorkItem> batch;
-  WorkItem item;
-  while (queue_.try_pop(item)) {
-    batch.push_back(std::move(item));
-    if (batch.size() >= options_.batch_max) {
-      process_batch(std::move(batch));
-      batch.clear();
-    }
-  }
-  if (!batch.empty()) process_batch(std::move(batch));
-}
-
-void Server::dispatcher_loop() {
-  for (;;) {
-    WorkItem first;
-    if (!queue_.pop(first)) return;  // closed and drained
-    std::vector<WorkItem> batch;
-    batch.push_back(std::move(first));
-    WorkItem more;
-    while (batch.size() < options_.batch_max && queue_.try_pop(more)) {
-      batch.push_back(std::move(more));
-    }
-    process_batch(std::move(batch));
-  }
-}
-
-std::string Server::stats_response(const RequestId& id) const {
-  const ServerCounters c = counters();
-  std::ostringstream out;
-  write_ok_prefix(out, id);
-  out << ", \"kind\": \"stats\""
-      << ", \"accepted\": " << c.accepted
-      << ", \"rejected_overload\": " << c.rejected_overload
-      << ", \"rejected_invalid\": " << c.rejected_invalid
-      << ", \"rejected_deadline\": " << c.rejected_deadline
-      << ", \"completed\": " << c.completed
-      << ", \"canceled\": " << c.canceled
-      << ", \"batches\": " << c.batches
-      << ", \"batched_cells\": " << c.batched_cells
-      << ", \"direct_runs\": " << c.direct_runs
-      << ", \"fuzz_campaigns\": " << c.fuzz_campaigns
-      << ", \"warm_entries\": " << c.warm_entries
-      << ", \"warm_preloads\": " << c.warm_preloads
-      << ", \"warm_exports\": " << c.warm_exports;
-  if (c.has_store) {
-    out << ", \"store\": {\"hits\": " << c.store.hits
-        << ", \"misses\": " << c.store.misses
-        << ", \"stores\": " << c.store.stores
-        << ", \"corrupt_discards\": " << c.store.corrupt_discards << "}";
-  }
-  out << "}\n";
-  return out.str();
-}
-
-void Server::admit(const std::shared_ptr<Session>& session, const std::string& line) {
-  const uint64_t seq = session->allocate_seq();
-  ParseOutcome parsed = parse_request(line);
-  if (!parsed.ok) {
-    std::ostringstream out;
-    write_error_response(out, parsed.id, parsed.error, parsed.detail);
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.rejected_invalid;
-    }
-    session->complete(seq, out.str());
-    return;
-  }
-
-  Request& req = parsed.request;
-  switch (req.kind) {
-    case RequestKind::kPing: {
-      std::ostringstream out;
-      write_pong_response(out, req.id);
-      session->complete(seq, out.str());
-      return;
-    }
-    case RequestKind::kStats:
-      session->complete(seq, stats_response(req.id));
-      return;
-    case RequestKind::kCancel: {
-      // The mark takes effect immediately (admission thread), so a
-      // budgeted run in flight sees it at its next checkpoint even while
-      // the dispatcher is busy; only the *response* waits for FIFO order.
-      session->mark_canceled(req.target);
-      std::ostringstream out;
-      write_ok_prefix(out, req.id);
-      out << ", \"kind\": \"cancel\"}\n";
-      session->complete(seq, out.str());
-      return;
-    }
-    case RequestKind::kShutdown: {
-      std::ostringstream out;
-      write_ok_prefix(out, req.id);
-      out << ", \"kind\": \"shutdown\"}\n";
-      session->complete(seq, out.str());
-      // Close after responding: already-admitted work still drains.
-      bool expected = false;
-      if (shutting_down_.compare_exchange_strong(expected, true)) {
-        queue_.close();
-        shutdown_cv_.notify_all();
-      }
-      return;
-    }
-    case RequestKind::kRun:
-    case RequestKind::kSweep:
-    case RequestKind::kFuzz:
-      break;
-  }
-
-  const RequestId id = req.id;  // survives the move below
-  WorkItem item;
-  item.session = session;
-  item.seq = seq;
-  ScheduleKey key;
-  key.priority = req.priority;
-  if (req.has_deadline) {
-    key.has_deadline = true;
-    key.deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(req.deadline_ms);
-    item.has_deadline = true;
-    item.deadline = key.deadline;
-  }
-  item.request = std::move(req);
-  if (!queue_.try_push(std::move(item), key)) {
-    std::ostringstream out;
-    const bool closing = shutting_down();
-    write_error_response(out, id,
-                         closing ? kErrShuttingDown : kErrOverloaded,
-                         closing ? "server is shutting down"
-                                 : "admission queue is full; retry later");
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.rejected_overload;
-    }
-    session->complete(seq, out.str());
-    return;
-  }
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  ++counters_.accepted;
-}
-
-Server::ProgramEntry* Server::resolve_program(
-    const std::shared_ptr<Session>& session, uint64_t seq, const Request& request) {
+Server::ProgramEntry* Server::resolve_program(const Job& job, const Respond& respond) {
+  const Request& request = job.request;
   const std::string key =
       request.workload.empty()
           ? "src:" + std::to_string(std::hash<std::string>{}(request.source))
           : "wl:" + request.workload + ":" + std::to_string(request.scale);
   auto it = programs_.find(key);
   if (it != programs_.end()) return &it->second;
+  std::ostringstream out;
   try {
     ProgramEntry entry;
     if (!request.workload.empty()) {
@@ -296,82 +77,53 @@ Server::ProgramEntry* Server::resolve_program(
     }
     return &programs_.emplace(key, std::move(entry)).first->second;
   } catch (const std::invalid_argument& e) {
-    std::ostringstream out;
     write_error_response(out, request.id, kErrUnknownWorkload, e.what());
-    session->complete(seq, out.str());
   } catch (const std::exception& e) {
-    std::ostringstream out;
     write_error_response(out, request.id, kErrBadRequest,
                          std::string("assembly failed: ") + e.what());
-    session->complete(seq, out.str());
   }
+  respond(job, out.str());
   return nullptr;
 }
 
-void Server::process_batch(std::vector<WorkItem> items) {
+void Server::process_batch(const std::vector<Job>& jobs, const MigrationHooks& hooks,
+                           const Respond& respond) {
   // Partition: grid work (sweeps + unbudgeted cold runs) shares one
   // SweepEngine call; budgeted/warm runs and fuzz campaigns execute
-  // directly. Canceled and unresolvable requests answer here and drop out.
+  // directly. Unresolvable requests answer here and drop out.
   struct GridItem {
-    size_t item_index;
+    const Job* job;
     BatchSlice slice;
   };
   std::vector<accel::SweepPoint> grid;
   std::vector<GridItem> grid_items;
-  std::vector<size_t> direct_items;
-  std::vector<size_t> fuzz_items;
+  std::vector<const Job*> direct_jobs;
+  std::vector<const Job*> fuzz_jobs;
 
-  for (size_t i = 0; i < items.size(); ++i) {
-    const WorkItem& item = items[i];
-    const Request& req = item.request;
-    if (item.session->is_canceled(req.id)) {
-      item.session->consume_cancel(req.id);
-      std::ostringstream out;
-      write_error_response(out, req.id, kErrCanceled, "canceled before dispatch");
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.canceled;
-      }
-      item.session->complete(item.seq, out.str());
-      continue;
-    }
-    // Expiry is judged here, at pickup, not in the queue: the request is
-    // rejected exactly once, with a response. `>=` makes deadline_ms: 0
-    // expire unconditionally (admission time is the deadline), which is
-    // what pins this path deterministically in tests.
-    if (item.has_deadline && std::chrono::steady_clock::now() >= item.deadline) {
-      std::ostringstream out;
-      write_error_response(out, req.id, kErrDeadlineExpired,
-                           "deadline passed before dispatch");
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.rejected_deadline;
-      }
-      item.session->complete(item.seq, out.str());
-      continue;
-    }
+  for (const Job& job : jobs) {
+    const Request& req = job.request;
     if (req.kind == RequestKind::kFuzz) {
-      fuzz_items.push_back(i);
+      fuzz_jobs.push_back(&job);
       continue;
     }
     if (req.kind == RequestKind::kRun && (req.budget > 0 || req.warm)) {
-      direct_items.push_back(i);
+      direct_jobs.push_back(&job);
       continue;
     }
-    ProgramEntry* entry = resolve_program(item.session, item.seq, req);
+    ProgramEntry* entry = resolve_program(job, respond);
     if (entry == nullptr) continue;
     BatchSlice slice;
     slice.begin = grid.size();
     std::vector<accel::SweepPoint> points = expand_points(req, entry->program);
     for (auto& p : points) grid.push_back(std::move(p));
     slice.end = grid.size();
-    grid_items.push_back({i, slice});
+    grid_items.push_back({&job, slice});
   }
 
   if (!grid.empty()) {
     accel::SweepOptions opts;
     opts.threads = options_.worker_threads;
-    opts.result_cache = store_.get();
+    opts.result_cache = result_store_.get();
     std::vector<accel::SweepResult> results;
     bool engine_failed = false;
     std::string engine_error;
@@ -381,17 +133,14 @@ void Server::process_batch(std::vector<WorkItem> items) {
       engine_failed = true;
       engine_error = e.what();
     }
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.batches;
-      counters_.batched_cells += grid.size();
-    }
+    bump(&ServeCounters::batches);
+    bump(&ServeCounters::batched_cells, grid.size());
     for (const GridItem& gi : grid_items) {
-      const WorkItem& item = items[gi.item_index];
+      const Request& req = gi.job->request;
       std::ostringstream out;
       if (engine_failed) {
-        write_error_response(out, item.request.id, kErrInternal, engine_error);
-      } else if (item.request.kind == RequestKind::kRun) {
+        write_error_response(out, req.id, kErrInternal, engine_error);
+      } else if (req.kind == RequestKind::kRun) {
         const accel::SweepResult& r = results[gi.slice.begin];
         RunResponse resp;
         resp.accelerated = r.accelerated;
@@ -399,21 +148,19 @@ void Server::process_batch(std::vector<WorkItem> items) {
         resp.baseline = r.baseline;
         resp.transparent = r.transparent;
         resp.halted = !r.accelerated.hit_limit;
-        write_run_response(out, item.request.id, resp);
+        write_run_response(out, req.id, resp);
       } else {
-        write_sweep_response(out, item.request.id, split_slice(results, gi.slice));
+        write_sweep_response(out, req.id, split_slice(results, gi.slice));
       }
-      item.session->complete(item.seq, out.str());
+      respond(*gi.job, out.str());
     }
   }
 
-  for (const size_t i : direct_items) {
-    ProgramEntry* entry = resolve_program(items[i].session, items[i].seq,
-                                          items[i].request);
-    if (entry == nullptr) continue;
-    execute_direct(items[i], *entry);
+  for (const Job* job : direct_jobs) {
+    ProgramEntry* entry = resolve_program(*job, respond);
+    if (entry != nullptr) execute_direct(*job, *entry, hooks, respond);
   }
-  for (const size_t i : fuzz_items) execute_fuzz(items[i]);
+  for (const Job* job : fuzz_jobs) execute_fuzz(*job, respond);
 }
 
 std::vector<uint8_t>* Server::warm_lookup(uint64_t program_hash,
@@ -464,12 +211,10 @@ void Server::warm_insert(uint64_t program_hash, uint64_t fingerprint,
   counters_.warm_entries = entries;
 }
 
-void Server::execute_direct(const WorkItem& item, ProgramEntry& entry) {
-  const Request& req = item.request;
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.direct_runs;
-  }
+void Server::execute_direct(const Job& job, ProgramEntry& entry,
+                            const MigrationHooks& hooks, const Respond& respond) {
+  const Request& req = job.request;
+  bump(&ServeCounters::direct_runs);
   accel::SystemConfig config =
       config_for(req.shape, req.slots, req.speculation);
   const uint64_t phash = snap::program_hash(entry.program);
@@ -483,8 +228,7 @@ void Server::execute_direct(const WorkItem& item, ProgramEntry& entry) {
       try {
         resp.warm_preloaded =
             snap::load_warm_start_payload(system, *payload, entry.program);
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.warm_preloads;
+        bump(&ServeCounters::warm_preloads);
       } catch (const snap::SnapshotError&) {
         resp.warm_preloaded = 0;  // stale/mismatched entry: run cold
       }
@@ -498,8 +242,8 @@ void Server::execute_direct(const WorkItem& item, ProgramEntry& entry) {
   // byte-identical to a run that never migrated. A payload that fails to
   // restore (foreign program/config) is discarded: cold restart, same
   // bytes, just more work.
-  if (hooks_.resume) {
-    const std::vector<uint8_t> payload = hooks_.resume(req);
+  if (hooks.resume) {
+    const std::vector<uint8_t> payload = hooks.resume(req);
     if (!payload.empty()) {
       try {
         snap::restore_snapshot_payload(system, payload, entry.program);
@@ -519,9 +263,8 @@ void Server::execute_direct(const WorkItem& item, ProgramEntry& entry) {
   accel::AccelStats stats;
   bool canceled = false;
   for (;;) {
-    if (item.session->is_canceled(req.id)) {
+    if (take_cancel(job)) {
       canceled = true;
-      item.session->consume_cancel(req.id);
       break;
     }
     const uint64_t done = system.stats().instructions;
@@ -531,18 +274,15 @@ void Server::execute_direct(const WorkItem& item, ProgramEntry& entry) {
     stats = system.run_until(boundary);
     if (stats.final_state.halted || stats.hit_limit) break;
     if (stats.instructions == done) break;  // no forward progress: stop
-    if (hooks_.checkpoint && stats.instructions < budget) {
-      hooks_.checkpoint(req, snap::encode_snapshot(system, entry.program));
+    if (hooks.checkpoint && stats.instructions < budget) {
+      hooks.checkpoint(req, snap::encode_snapshot(system, entry.program));
     }
   }
   if (canceled) {
     std::ostringstream out;
     write_error_response(out, req.id, kErrCanceled, "canceled at a checkpoint");
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.canceled;
-    }
-    item.session->complete(item.seq, out.str());
+    bump(&ServeCounters::canceled);
+    respond(job, out.str());
     return;
   }
   stats = system.stats();
@@ -582,15 +322,12 @@ void Server::execute_direct(const WorkItem& item, ProgramEntry& entry) {
 
   std::ostringstream out;
   write_run_response(out, req.id, resp);
-  item.session->complete(item.seq, out.str());
+  respond(job, out.str());
 }
 
-void Server::execute_fuzz(const WorkItem& item) {
-  const Request& req = item.request;
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.fuzz_campaigns;
-  }
+void Server::execute_fuzz(const Job& job, const Respond& respond) {
+  const Request& req = job.request;
+  bump(&ServeCounters::fuzz_campaigns);
   fuzz::CampaignOptions opts;
   opts.seed_start = req.seed_start;
   opts.seeds = req.seeds;
@@ -608,7 +345,7 @@ void Server::execute_fuzz(const WorkItem& item) {
   } catch (const std::exception& e) {
     write_error_response(out, req.id, kErrInternal, e.what());
   }
-  item.session->complete(item.seq, out.str());
+  respond(job, out.str());
 }
 
 }  // namespace dim::serve

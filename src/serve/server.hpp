@@ -1,13 +1,15 @@
-// The resident simulation service (docs/serving.md).
+// The in-process executor of the serve scheduler (docs/serving.md).
 //
 // Everything the paper's transparent-acceleration story amortizes —
 // translated configurations, memoized sweep cells, assembled program
-// images — stays warm in one long-lived process. Sessions feed JSONL
-// requests through a bounded admission queue; a dispatcher thread drains
-// the queue in batches, runs every batched grid point through one shared
-// SweepEngine (memoized by a resident snap::ResultStore), executes
-// budgeted runs in run_until checkpoint chunks with cooperative
-// cancellation, and emits responses in per-session admission order.
+// images — stays warm in one long-lived process. SessionHost (host.hpp)
+// admits and schedules; the Server runs each batch the scheduler hands
+// over on the scheduler thread: every batched grid point goes through one
+// shared SweepEngine (memoized by a resident snap::ResultStore), budgeted
+// runs execute in run_until checkpoint chunks with cooperative
+// cancellation, fuzz campaigns fan out over the engine threads. A worker
+// process of the pre-forked pool (supervisor.hpp) runs its jobs through
+// the same executor via run().
 //
 // Determinism contract: for a fixed request stream on one session (with a
 // fixed result-store temperature), response bytes are identical for any
@@ -17,24 +19,19 @@
 // this.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "accel/sweep.hpp"
+#include "accel/stats.hpp"
 #include "asm/program.hpp"
 #include "serve/host.hpp"
 #include "serve/protocol.hpp"
-#include "serve/queue.hpp"
 #include "snap/resultstore.hpp"
 
 namespace dim::serve {
@@ -44,7 +41,7 @@ struct ServerOptions {
   unsigned worker_threads = 0;
   // Admission bound: requests beyond this are rejected with `overloaded`.
   size_t queue_capacity = 256;
-  // Max requests merged into one dispatcher batch.
+  // Max requests merged into one executor batch.
   size_t batch_max = 32;
   // Persistence root ("" = fully in-memory): result-store cells go to
   // <store_dir>/cells, warm-start exports to <store_dir>/warm.
@@ -52,34 +49,19 @@ struct ServerOptions {
   // run_until chunk for budgeted runs: the cancellation latency bound.
   uint64_t checkpoint_interval = 1u << 20;
   // Tests set false and call dispatch_pending() for deterministic control
-  // over when (and in what batches) queued work executes.
+  // over when (and in what batches) queued work executes; worker processes
+  // set false and call run().
   bool auto_dispatch = true;
 };
 
-struct ServerCounters {
-  uint64_t accepted = 0;           // admitted into the queue
-  uint64_t rejected_overload = 0;  // bounced off the full queue
-  uint64_t rejected_invalid = 0;   // parse/validation failures
-  uint64_t rejected_deadline = 0;  // expired before a dispatcher picked them up
-  uint64_t completed = 0;          // responses emitted (any outcome)
-  uint64_t canceled = 0;           // requests answered `canceled`
-  uint64_t batches = 0;            // dispatcher passes with >= 1 grid item
-  uint64_t batched_cells = 0;      // grid points handed to the SweepEngine
-  uint64_t direct_runs = 0;        // budgeted/warm runs outside the engine
-  uint64_t fuzz_campaigns = 0;
-  uint64_t warm_entries = 0;       // resident warm-start pool size
-  uint64_t warm_preloads = 0;
-  uint64_t warm_exports = 0;
-  bool has_store = false;
-  snap::ResultStore::Counters store;
-};
+using ServerCounters = ServeCounters;
 
-// Hooks a wrapping process (serve::worker_main) installs so budgeted runs
-// survive the process: `resume` supplies a prior checkpoint's snapshot
-// payload (empty = cold start, taken BEFORE the budget loop but AFTER the
-// warm preload so `warm_preloaded` matches the uncrashed run), and
-// `checkpoint` receives a fresh snapshot payload after every run_until
-// chunk that did not finish the request. Dispatcher-thread only.
+// Hooks a worker process (serve::worker_main) passes to Server::run so
+// budgeted runs survive the process: `resume` supplies a prior
+// checkpoint's snapshot payload (empty = cold start, taken BEFORE the
+// budget loop but AFTER the warm preload so `warm_preloaded` matches the
+// uncrashed run), and `checkpoint` receives a fresh snapshot payload after
+// every run_until chunk that did not finish the request.
 struct MigrationHooks {
   std::function<std::vector<uint8_t>(const Request&)> resume;
   std::function<void(const Request&, const std::vector<uint8_t>&)> checkpoint;
@@ -87,69 +69,17 @@ struct MigrationHooks {
 
 class Server : public SessionHost {
  public:
-  using ResponseSink = SessionHost::ResponseSink;
-
   explicit Server(ServerOptions options);
   ~Server() override;  // drains and joins
 
-  class Session : public SessionHost::Session,
-                  public std::enable_shared_from_this<Session> {
-   public:
-    // Feeds one raw request line; the response arrives on the sink (in
-    // submission order, possibly before this returns for immediate
-    // kinds). Returns false once the server is shutting down — queued
-    // kinds have then been answered with a shutting_down rejection.
-    bool submit(const std::string& line) override;
-
-    // Blocks until every submitted request has produced its response.
-    void drain() override;
-
-   private:
-    friend class Server;
-    explicit Session(Server* server, ResponseSink sink);
-
-    uint64_t allocate_seq();
-    void complete(uint64_t seq, std::string response_line);
-    bool is_canceled(const RequestId& id);
-    void mark_canceled(const RequestId& id);
-    void consume_cancel(const RequestId& id);
-
-    Server* server_;
-    ResponseSink sink_;
-    std::mutex mutex_;
-    std::condition_variable drained_;
-    uint64_t next_seq_ = 0;  // next seq to hand out
-    uint64_t emit_seq_ = 0;  // next seq to emit
-    std::map<uint64_t, std::string> ready_;  // completed, waiting for order
-    std::set<std::string> canceled_;         // keyed "s:"/"i:" + id text
-  };
-
-  std::shared_ptr<SessionHost::Session> open_session(ResponseSink sink) override;
-
-  // Stops accepting, drains the queue, joins the dispatcher. Idempotent.
-  void shutdown() override;
-  bool shutting_down() const override { return shutting_down_.load(); }
-  // Blocks until a shutdown request (or shutdown() call) arrived.
-  void wait_for_shutdown() override;
-
-  ServerCounters counters() const;
-
-  // Manual-dispatch mode (auto_dispatch == false): drains everything
-  // currently queued in batch_max-sized batches.
-  void dispatch_pending();
-
-  // Manual-dispatch mode only (worker processes): no locking, the caller
-  // owns the dispatch thread.
-  void set_migration_hooks(MigrationHooks hooks) { hooks_ = std::move(hooks); }
+  // Runs one queued-kind request (run / sweep / fuzz) on the calling
+  // thread and returns its response line: a worker process's entry point.
+  // `hooks` let a budgeted run resume from and checkpoint to a migration
+  // snapshot.
+  std::string run(const Request& request, const MigrationHooks& hooks);
 
  private:
-  struct WorkItem {
-    std::shared_ptr<Session> session;
-    uint64_t seq = 0;
-    Request request;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
-  };
+  using Respond = std::function<void(const Job&, std::string)>;
 
   // A cached, already-assembled program plus its lazily computed
   // unbudgeted baseline (resident across requests).
@@ -159,15 +89,16 @@ class Server : public SessionHost {
     accel::AccelStats baseline;
   };
 
-  void admit(const std::shared_ptr<Session>& session, const std::string& line);
-  void dispatcher_loop();
-  void process_batch(std::vector<WorkItem> items);
-  // Dispatcher-thread only (the cache is not locked).
-  ProgramEntry* resolve_program(const std::shared_ptr<Session>& session,
-                                uint64_t seq, const Request& request);
-  void execute_direct(const WorkItem& item, ProgramEntry& entry);
-  void execute_fuzz(const WorkItem& item);
-  std::string stats_response(const RequestId& id) const;
+  void execute(std::vector<Job> jobs) override;
+  size_t room_locked() override { return std::max<size_t>(options_.batch_max, 1); }
+
+  // Executor-thread only (the program cache is not locked).
+  void process_batch(const std::vector<Job>& jobs, const MigrationHooks& hooks,
+                     const Respond& respond);
+  ProgramEntry* resolve_program(const Job& job, const Respond& respond);
+  void execute_direct(const Job& job, ProgramEntry& entry,
+                      const MigrationHooks& hooks, const Respond& respond);
+  void execute_fuzz(const Job& job, const Respond& respond);
 
   // Warm-start pool: payload per (program hash, system fingerprint); the
   // payload for a key is unique (only halted runs export), so concurrent
@@ -177,22 +108,12 @@ class Server : public SessionHost {
                    std::vector<uint8_t> payload);
 
   ServerOptions options_;
-  std::unique_ptr<snap::ResultStore> store_;  // null without store_dir
-  AdmissionQueue<WorkItem> queue_;
-  MigrationHooks hooks_;
-  std::atomic<bool> shutting_down_{false};
-  mutable std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
+  std::unique_ptr<snap::ResultStore> result_store_;  // null without store_dir
 
-  mutable std::mutex counters_mutex_;
-  ServerCounters counters_;
-
-  std::map<std::string, ProgramEntry> programs_;  // dispatcher-thread only
+  std::map<std::string, ProgramEntry> programs_;  // executor-thread only
 
   std::mutex warm_mutex_;
   std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>> warm_pool_;
-
-  std::thread dispatcher_;
 };
 
 }  // namespace dim::serve

@@ -5,9 +5,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <system_error>
 
 #include "serve/ipc.hpp"
@@ -15,12 +15,6 @@
 
 namespace dim::serve {
 namespace {
-
-constexpr int kMaxAttempts = 100;  // crash-retry backstop per job
-
-std::string cancel_key(const RequestId& id) {
-  return (id.is_string ? "s:" : "i:") + id.text;
-}
 
 // Forked children inherit every parent fd: other workers' socketpairs
 // (keeping those open would break the supervisor's EOF-based death
@@ -45,79 +39,9 @@ void close_inherited_fds(int keep) {
 
 }  // namespace
 
-// --- Session ---------------------------------------------------------------
-
-// Same ordering contract as Server::Session: responses complete in any
-// order but emit through the sink in per-session admission order.
-class Supervisor::Session : public SessionHost::Session,
-                            public std::enable_shared_from_this<Session> {
- public:
-  bool submit(const std::string& line) override {
-    supervisor_->admit(shared_from_this(), line);
-    return !supervisor_->shutting_down();
-  }
-
-  void drain() override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    drained_.wait(lock, [this] { return emit_seq_ == next_seq_; });
-  }
-
- private:
-  friend class Supervisor;
-  explicit Session(Supervisor* supervisor, ResponseSink sink)
-      : supervisor_(supervisor), sink_(std::move(sink)) {}
-
-  uint64_t allocate_seq() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return next_seq_++;
-  }
-
-  void complete(uint64_t seq, std::string response_line) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.emplace(seq, std::move(response_line));
-    while (!ready_.empty() && ready_.begin()->first == emit_seq_) {
-      const std::string line = std::move(ready_.begin()->second);
-      ready_.erase(ready_.begin());
-      ++emit_seq_;
-      if (sink_) sink_(line);
-    }
-    lock.unlock();
-    drained_.notify_all();
-    {
-      std::lock_guard<std::mutex> clock(supervisor_->counters_mutex_);
-      ++supervisor_->counters_.completed;
-    }
-  }
-
-  bool is_canceled(const RequestId& id) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return canceled_.count(cancel_key(id)) > 0;
-  }
-
-  void mark_canceled(const RequestId& id) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    canceled_.insert(cancel_key(id));
-  }
-
-  void consume_cancel(const RequestId& id) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    canceled_.erase(cancel_key(id));
-  }
-
-  Supervisor* supervisor_;
-  ResponseSink sink_;
-  std::mutex mutex_;
-  std::condition_variable drained_;
-  uint64_t next_seq_ = 0;
-  uint64_t emit_seq_ = 0;
-  std::map<uint64_t, std::string> ready_;
-  std::set<std::string> canceled_;
-};
-
-// --- Supervisor ------------------------------------------------------------
-
 Supervisor::Supervisor(SupervisorOptions options)
-    : options_(options), queue_(options.queue_capacity) {
+    : SessionHost(options.queue_capacity, std::max(options.workers, 1)),
+      options_(options) {
   if (options_.workers < 1) options_.workers = 1;
   if (options_.checkpoint_interval == 0) options_.checkpoint_interval = 1u << 20;
   if (!options_.store_dir.empty()) {
@@ -126,40 +50,24 @@ Supervisor::Supervisor(SupervisorOptions options)
   }
   workers_.resize(static_cast<size_t>(options_.workers));
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     for (size_t i = 0; i < workers_.size(); ++i) spawn_worker(i);
   }
-  scheduler_ = std::thread([this] { scheduler_loop(); });
+  start();
 }
 
 Supervisor::~Supervisor() { shutdown(); }
 
-std::shared_ptr<SessionHost::Session> Supervisor::open_session(ResponseSink sink) {
-  return std::shared_ptr<Session>(new Session(this, std::move(sink)));
-}
-
-void Supervisor::shutdown() {
-  bool expected = false;
-  if (shutting_down_.compare_exchange_strong(expected, true)) {
-    queue_.close();
-    state_cv_.notify_all();
-    shutdown_cv_.notify_all();
-  }
-  std::lock_guard<std::mutex> teardown(teardown_mutex_);
-  if (torn_down_) return;
-  // The scheduler exits only when everything admitted has been answered
-  // (queue drained, no retries, nothing in flight) — the drain promise.
-  if (scheduler_.joinable()) scheduler_.join();
-  stopping_.store(true);
+void Supervisor::stop_executor() {
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
     for (Worker& w : workers_) {
       // SHUT_RDWR (not close): the reader thread still recv()s on this
       // fd, and closing it here could let the number be reused under it.
       if (w.fd >= 0) ::shutdown(w.fd, SHUT_RDWR);
     }
   }
-  state_cv_.notify_all();
   for (Worker& w : workers_) {
     if (w.reader.joinable()) w.reader.join();
   }
@@ -169,21 +77,10 @@ void Supervisor::shutdown() {
     if (t.joinable()) t.join();
   }
   reader_graveyard_.clear();
-  torn_down_ = true;
-}
-
-void Supervisor::wait_for_shutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [this] { return shutting_down_.load(); });
-}
-
-SupervisorCounters Supervisor::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  return counters_;
 }
 
 std::vector<pid_t> Supervisor::worker_pids() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<pid_t> pids;
   for (const Worker& w : workers_) {
     if (w.pid > 0) pids.push_back(w.pid);
@@ -195,135 +92,7 @@ std::string Supervisor::migrate_path(uint64_t job_id) const {
   return options_.store_dir + "/migrate/job-" + std::to_string(job_id) + ".snap";
 }
 
-std::string Supervisor::stats_response(const RequestId& id) const {
-  const SupervisorCounters c = counters();
-  std::ostringstream out;
-  write_ok_prefix(out, id);
-  out << ", \"kind\": \"stats\""
-      << ", \"workers\": " << options_.workers
-      << ", \"accepted\": " << c.accepted
-      << ", \"rejected_overload\": " << c.rejected_overload
-      << ", \"rejected_invalid\": " << c.rejected_invalid
-      << ", \"rejected_deadline\": " << c.rejected_deadline
-      << ", \"completed\": " << c.completed
-      << ", \"canceled\": " << c.canceled
-      << ", \"dispatched\": " << c.dispatched
-      << ", \"worker_restarts\": " << c.worker_restarts
-      << ", \"migrations\": " << c.migrations
-      << ", \"abandoned\": " << c.abandoned << "}\n";
-  return out.str();
-}
-
-void Supervisor::admit(const std::shared_ptr<Session>& session,
-                       const std::string& line) {
-  const uint64_t seq = session->allocate_seq();
-  ParseOutcome parsed = parse_request(line);
-  if (!parsed.ok) {
-    std::ostringstream out;
-    write_error_response(out, parsed.id, parsed.error, parsed.detail);
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.rejected_invalid;
-    }
-    session->complete(seq, out.str());
-    return;
-  }
-
-  Request& req = parsed.request;
-  switch (req.kind) {
-    case RequestKind::kPing: {
-      std::ostringstream out;
-      write_pong_response(out, req.id);
-      session->complete(seq, out.str());
-      return;
-    }
-    case RequestKind::kStats:
-      session->complete(seq, stats_response(req.id));
-      return;
-    case RequestKind::kCancel: {
-      // Queued-only in the multi-process topology: the mark stops the
-      // target at schedule time; a job already on a worker runs to
-      // completion (see the header comment).
-      session->mark_canceled(req.target);
-      std::ostringstream out;
-      write_ok_prefix(out, req.id);
-      out << ", \"kind\": \"cancel\"}\n";
-      session->complete(seq, out.str());
-      return;
-    }
-    case RequestKind::kShutdown: {
-      std::ostringstream out;
-      write_ok_prefix(out, req.id);
-      out << ", \"kind\": \"shutdown\"}\n";
-      session->complete(seq, out.str());
-      // Close after responding: already-admitted work still drains.
-      bool expected = false;
-      if (shutting_down_.compare_exchange_strong(expected, true)) {
-        queue_.close();
-        state_cv_.notify_all();
-        shutdown_cv_.notify_all();
-      }
-      return;
-    }
-    case RequestKind::kRun:
-    case RequestKind::kSweep:
-    case RequestKind::kFuzz:
-      break;
-  }
-
-  Job job;
-  job.session = session;
-  job.seq = seq;
-  job.id = req.id;
-  job.line = line;
-  ScheduleKey key;
-  key.priority = req.priority;
-  if (req.has_deadline) {
-    key.has_deadline = true;
-    key.deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(req.deadline_ms);
-    job.has_deadline = true;
-    job.deadline = key.deadline;
-  }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    job.job_id = next_job_id_++;
-  }
-  const RequestId id = job.id;
-  if (!queue_.try_push(std::move(job), key)) {
-    std::ostringstream out;
-    const bool closing = shutting_down();
-    write_error_response(out, id,
-                         closing ? kErrShuttingDown : kErrOverloaded,
-                         closing ? "server is shutting down"
-                                 : "admission queue is full; retry later");
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.rejected_overload;
-    }
-    session->complete(seq, out.str());
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.accepted;
-  }
-  state_cv_.notify_all();
-}
-
-void Supervisor::reject(const Job& job, const char* error,
-                        const std::string& detail,
-                        uint64_t SupervisorCounters::*counter) {
-  std::ostringstream out;
-  write_error_response(out, job.id, error, detail);
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++(counters_.*counter);
-  }
-  job.session->complete(job.seq, out.str());
-}
-
-// state_mutex_ held by the caller.
+// mutex_ held by the caller.
 void Supervisor::spawn_worker(size_t slot) {
   Worker& w = workers_[slot];
   int sv[2];
@@ -354,7 +123,7 @@ void Supervisor::spawn_worker(size_t slot) {
 void Supervisor::reader_loop(size_t slot) {
   int fd = -1;
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     fd = workers_[slot].fd;
   }
   std::string payload;
@@ -365,7 +134,7 @@ void Supervisor::reader_loop(size_t slot) {
     Job job;
     bool found = false;
     {
-      std::lock_guard<std::mutex> lock(state_mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       auto it = inflight_.find(job_id);
       if (it != inflight_.end()) {
         job = std::move(it->second);
@@ -385,16 +154,16 @@ void Supervisor::reader_loop(size_t slot) {
         std::error_code ec;
         std::filesystem::remove(migrate_path(job_id), ec);
       }
-      job.session->complete(job.seq, response);
+      finish(job, response);
     }
-    state_cv_.notify_all();
+    cv_.notify_all();
   }
   handle_worker_death(slot);
 }
 
 void Supervisor::handle_worker_death(size_t slot) {
   {
-    std::unique_lock<std::mutex> lock(state_mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     Worker& w = workers_[slot];
     const pid_t pid = w.pid;
     if (w.fd >= 0) {
@@ -419,119 +188,65 @@ void Supervisor::handle_worker_death(size_t slot) {
             !options_.store_dir.empty() &&
             std::filesystem::exists(migrate_path(job.job_id));
         retry_.push_front(std::move(job));
-        std::lock_guard<std::mutex> clock(counters_mutex_);
-        if (has_checkpoint) ++counters_.migrations;
+        if (has_checkpoint) bump(&ServeCounters::migrations);
       }
       w.busy = false;
       w.job_id = 0;
     }
-    if (!stopping_.load()) {
-      {
-        std::lock_guard<std::mutex> clock(counters_mutex_);
-        ++counters_.worker_restarts;
-      }
+    if (!stopping_) {
       // This thread IS the dying worker's reader: it cannot join itself,
       // so it parks its own handle in the graveyard and hands the slot a
       // fresh worker + reader. The graveyard is joined at teardown.
       reader_graveyard_.push_back(std::move(w.reader));
       spawn_worker(slot);
+      // Counted once the replacement is forked, so a caller that waits
+      // for the count also knows the fork is behind it.
+      bump(&ServeCounters::worker_restarts);
     }
   }
-  state_cv_.notify_all();
+  cv_.notify_all();
 }
 
-void Supervisor::scheduler_loop() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  const auto drained = [this] {
-    return queue_.closed() && queue_.size() == 0 && retry_.empty() &&
-           inflight_.empty();
-  };
-  const auto idle_slot = [this]() -> int {
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      if (workers_[i].fd >= 0 && !workers_[i].busy) return static_cast<int>(i);
-    }
-    return -1;
-  };
-  const auto dead_slot = [this]() -> int {
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      // fd < 0 with no live reader = a slot whose spawn failed (a slot
-      // mid-death still has its reader running and is repaired there).
-      if (workers_[i].fd < 0 && !workers_[i].reader.joinable()) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  };
-  for (;;) {
-    state_cv_.wait(lock, [&] {
-      if (drained()) return true;
-      const bool work = !retry_.empty() || queue_.size() > 0;
-      return work && (idle_slot() >= 0 || dead_slot() >= 0);
-    });
-    if (drained()) return;
-    if (!stopping_.load()) {
-      for (int slot = dead_slot(); slot >= 0; slot = dead_slot()) {
-        spawn_worker(static_cast<size_t>(slot));
-        if (workers_[static_cast<size_t>(slot)].fd < 0) {
-          break;  // spawn still failing; wait for the next wakeup
-        }
-      }
-    }
-    const int slot = idle_slot();
-    if (slot < 0) continue;
+size_t Supervisor::room_locked() {
+  size_t idle = 0;
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    Worker& w = workers_[i];
+    // fd < 0 with no live reader = a slot whose spawn failed (a slot
+    // mid-death still has its reader running and is repaired there).
+    if (w.fd < 0 && !w.reader.joinable() && !stopping_) spawn_worker(i);
+    if (w.fd >= 0 && !w.busy) ++idle;
+  }
+  return idle;
+}
 
-    Job job;
-    bool have = false;
-    if (!retry_.empty()) {
-      job = std::move(retry_.front());
-      retry_.pop_front();
-      have = true;
-    } else {
-      have = queue_.try_pop(job);
+void Supervisor::execute(std::vector<Job> jobs) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto it = jobs.begin(); it != jobs.end(); ++it) {
+    Job& job = *it;
+    size_t slot = 0;
+    while (slot < workers_.size() && (workers_[slot].fd < 0 || workers_[slot].busy)) {
+      ++slot;
     }
-    if (!have) continue;
-
-    if (job.session->is_canceled(job.id)) {
-      job.session->consume_cancel(job.id);
-      lock.unlock();
-      reject(job, kErrCanceled, "canceled before dispatch",
-             &SupervisorCounters::canceled);
-      lock.lock();
-      continue;
+    if (slot == workers_.size()) {
+      // The worker counted at pickup died since and could not be
+      // replaced: the rest go back to the front, in order, for the next
+      // scheduler pass.
+      for (auto rest = jobs.end(); rest != it;) retry_.push_front(std::move(*--rest));
+      return;
     }
-    if (job.has_deadline &&
-        std::chrono::steady_clock::now() >= job.deadline) {
-      lock.unlock();
-      reject(job, kErrDeadlineExpired, "deadline passed before dispatch",
-             &SupervisorCounters::rejected_deadline);
-      lock.lock();
-      continue;
-    }
-    ++job.attempts;
-    if (job.attempts > kMaxAttempts) {
-      lock.unlock();
-      reject(job, kErrInternal, "job abandoned after repeated worker failures",
-             &SupervisorCounters::abandoned);
-      lock.lock();
-      continue;
-    }
-
-    Worker& w = workers_[static_cast<size_t>(slot)];
+    Worker& w = workers_[slot];
     w.busy = true;
     w.job_id = job.job_id;
+    ++job.attempts;
     const std::string frame = encode_job_frame(job.job_id, job.line);
-    const int worker_fd = w.fd;
     inflight_.emplace(job.job_id, std::move(job));
-    {
-      std::lock_guard<std::mutex> clock(counters_mutex_);
-      ++counters_.dispatched;
-    }
-    // Sent under state_mutex_ so the fd cannot be closed/reused by a
-    // concurrent death handler. Frames are small and at most one job is
-    // outstanding per worker, so this send cannot block on a full pipe.
-    // If the worker just died, the send fails and its reader re-queues
-    // the job exactly as for a mid-run death.
-    send_frame(worker_fd, frame);
+    bump(&ServeCounters::dispatched);
+    // Sent under mutex_ so the fd cannot be closed/reused by a concurrent
+    // death handler. Frames are small and at most one job is outstanding
+    // per worker, so this send cannot block on a full pipe. If the worker
+    // just died, the send fails and its reader re-queues the job exactly
+    // as for a mid-run death.
+    send_frame(w.fd, frame);
   }
 }
 

@@ -1,12 +1,12 @@
-// The supervisor of the pre-forked worker pool (docs/serving.md).
+// The worker-pool executor of the serve scheduler (docs/serving.md).
 //
 // One supervisor process owns admission, scheduling and fault handling;
-// N forked worker processes own execution. Sessions submit JSONL lines
-// exactly as against serve::Server — immediate kinds (ping/stats/cancel/
-// shutdown) are answered here, queued kinds enter an EDF-within-priority
-// AdmissionQueue and a scheduler thread hands each job to an idle worker
-// over a socketpair (serve/ipc.hpp framing). All workers share one store
-// directory, so memoized cells and warm-start exports are pooled.
+// N forked worker processes own execution. Admission, the immediate kinds
+// and the pickup check are SessionHost's (host.hpp), byte for byte the
+// same as for serve::Server; the scheduler thread hands each job that
+// passes pickup to an idle worker over a socketpair (serve/ipc.hpp
+// framing), and the worker runs it with Server::run. All workers share one
+// store directory, so memoized cells and warm-start exports are pooled.
 //
 // Fault model: a worker death (crash, SIGKILL) is detected as EOF on its
 // socketpair by that worker's reader thread, which reaps the child,
@@ -28,22 +28,13 @@
 
 #include <sys/types.h>
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/host.hpp"
-#include "serve/protocol.hpp"
-#include "serve/queue.hpp"
 
 namespace dim::serve {
 
@@ -58,48 +49,17 @@ struct SupervisorOptions {
   unsigned engine_threads = 0;
 };
 
-struct SupervisorCounters {
-  uint64_t accepted = 0;
-  uint64_t rejected_overload = 0;
-  uint64_t rejected_invalid = 0;
-  uint64_t rejected_deadline = 0;
-  uint64_t completed = 0;          // responses emitted (any outcome)
-  uint64_t canceled = 0;
-  uint64_t dispatched = 0;         // job frames handed to workers
-  uint64_t worker_restarts = 0;    // deaths handled (reaped + respawned)
-  uint64_t migrations = 0;         // crash re-queues with a checkpoint to resume
-  uint64_t abandoned = 0;          // answered `internal` after the attempt cap
-};
+using SupervisorCounters = ServeCounters;
 
 class Supervisor : public SessionHost {
  public:
   explicit Supervisor(SupervisorOptions options);
   ~Supervisor() override;  // drains admitted work, then stops the pool
 
-  std::shared_ptr<SessionHost::Session> open_session(ResponseSink sink) override;
-  void shutdown() override;
-  bool shutting_down() const override { return shutting_down_.load(); }
-  void wait_for_shutdown() override;
-
-  SupervisorCounters counters() const;
-
   // Live worker pids, for the chaos harness (and ps-level debugging).
   std::vector<pid_t> worker_pids() const;
 
  private:
-  class Session;
-
-  struct Job {
-    uint64_t job_id = 0;
-    std::shared_ptr<Session> session;
-    uint64_t seq = 0;
-    RequestId id;       // for supervisor-side rejections
-    std::string line;   // raw request line, re-parsed by the worker
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
-    int attempts = 0;   // dispatches so far (crash retries increment)
-  };
-
   struct Worker {
     pid_t pid = -1;
     int fd = -1;       // supervisor side of the socketpair
@@ -108,44 +68,24 @@ class Supervisor : public SessionHost {
     std::thread reader;
   };
 
-  void admit(const std::shared_ptr<Session>& session, const std::string& line);
-  void scheduler_loop();
+  void execute(std::vector<Job> jobs) override;
+  size_t room_locked() override;
+  bool idle_locked() const override { return inflight_.empty(); }
+  void stop_executor() override;
+
   void reader_loop(size_t slot);
-  // state_mutex_ held. Forks the replacement and starts its reader.
+  // mutex_ held. Forks the replacement and starts its reader.
   void spawn_worker(size_t slot);
   void handle_worker_death(size_t slot);
-  void reject(const Job& job, const char* error, const std::string& detail,
-              uint64_t SupervisorCounters::*counter);
-  std::string stats_response(const RequestId& id) const;
   std::string migrate_path(uint64_t job_id) const;
 
   SupervisorOptions options_;
-  AdmissionQueue<Job> queue_;
-  std::atomic<bool> shutting_down_{false};
-  std::atomic<bool> stopping_{false};  // pool teardown (post-drain)
-  mutable std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-  std::mutex teardown_mutex_;  // serializes the shutdown() join sequence
-  bool torn_down_ = false;
 
-  mutable std::mutex counters_mutex_;
-  SupervisorCounters counters_;
-
-  // Workers, in-flight jobs and the crash-retry list. retry_ jobs run
-  // before anything still in the queue (they were admitted earlier and
-  // already scheduled once); it is unbounded because a re-queue must not
-  // fail — that would lose admitted work.
-  mutable std::mutex state_mutex_;
-  std::condition_variable state_cv_;
+  // Guarded by SessionHost::mutex_, like the rest of the scheduler state.
   std::vector<Worker> workers_;
   std::map<uint64_t, Job> inflight_;  // keyed by job_id
-  std::deque<Job> retry_;
-  uint64_t next_job_id_ = 1;
   std::vector<std::thread> reader_graveyard_;  // replaced readers, joined late
-
-  std::thread scheduler_;
-
-  friend class Session;
+  bool stopping_ = false;  // pool teardown (post-drain): no more respawns
 };
 
 }  // namespace dim::serve

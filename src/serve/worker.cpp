@@ -1,6 +1,7 @@
 #include "serve/worker.hpp"
 
 #include <filesystem>
+#include <sstream>
 #include <system_error>
 #include <vector>
 
@@ -13,12 +14,10 @@ namespace dim::serve {
 
 int worker_main(int fd, const WorkerOptions& options) {
   ServerOptions server_options;
-  server_options.auto_dispatch = false;  // jobs execute on this thread
+  server_options.auto_dispatch = false;  // jobs execute on this thread via run()
   server_options.worker_threads = options.engine_threads;
   server_options.store_dir = options.store_dir;
   server_options.checkpoint_interval = options.checkpoint_interval;
-  server_options.batch_max = options.batch_max;
-  server_options.queue_capacity = options.batch_max < 16 ? 16 : options.batch_max;
   Server server(server_options);
 
   std::string migrate_dir;
@@ -59,17 +58,17 @@ int worker_main(int fd, const WorkerOptions& options) {
         }
       };
     }
-    server.set_migration_hooks(std::move(hooks));
-
-    // One submitted line yields exactly one response line, emitted
-    // synchronously by dispatch_pending (manual mode) into `response`.
+    // The supervisor forwards only lines that parsed as queued kinds; the
+    // worker re-parses and runs the request straight on the executor.
+    const ParseOutcome parsed = parse_request(line);
     std::string response;
-    auto session = server.open_session(
-        [&response](const std::string& out_line) { response += out_line; });
-    session->submit(line);
-    server.dispatch_pending();
-    session->drain();
-    server.set_migration_hooks(MigrationHooks{});
+    if (parsed.ok) {
+      response = server.run(parsed.request, hooks);
+    } else {
+      std::ostringstream out;
+      write_error_response(out, parsed.id, parsed.error, parsed.detail);
+      response = out.str();
+    }
 
     // Respond before discarding the checkpoint: dying between the two
     // leaves only a stale file (the supervisor also removes it), never a

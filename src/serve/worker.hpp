@@ -1,17 +1,16 @@
 // The worker side of the pre-forked pool: one process, one socketpair fd.
 //
-// A worker is a thin loop around the single-process serve::Server. Each
-// 'J' frame carries one raw request line; the worker runs it to its one
-// response line (manual dispatch, so the job executes on the calling
-// thread) and sends it back as an 'R' frame. Budgeted runs install
-// MigrationHooks that persist a snapshot into the shared store's
-// migrate/ directory after every run_until chunk — if this process is
-// SIGKILLed mid-run, the supervisor re-queues the job and the next worker
-// resumes from that snapshot, returning the byte-identical response the
-// uncrashed run would have produced.
+// A worker is a thin loop around the in-process executor. Each 'J' frame
+// carries one raw request line the supervisor already admitted and
+// picked up; the worker parses it, runs it on this thread with
+// Server::run, and sends the one response line back as an 'R' frame.
+// Budgeted runs pass MigrationHooks that persist a snapshot into the
+// shared store's migrate/ directory after every run_until chunk — if this
+// process is SIGKILLed mid-run, the supervisor re-queues the job and the
+// next worker resumes from that snapshot, returning the byte-identical
+// response the uncrashed run would have produced.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -24,7 +23,6 @@ struct WorkerOptions {
   uint64_t checkpoint_interval = 1u << 20;
   // SweepEngine threads inside this worker (0 = hardware concurrency).
   unsigned engine_threads = 0;
-  size_t batch_max = 32;
 };
 
 // Runs the frame loop until the supervisor closes its end (EOF) or the fd

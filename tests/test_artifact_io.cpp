@@ -18,28 +18,19 @@
 
 #include "snap/format.hpp"
 #include "snap/io.hpp"
+#include "temp_dir.hpp"
 
 namespace dim::snap {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_dir(const char* tag) {
-  std::string tmpl = fs::temp_directory_path() /
-                     (std::string("dimsim-artifact-") + tag + "-XXXXXX");
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  const char* made = mkdtemp(buf.data());
-  EXPECT_NE(made, nullptr);
-  return std::string(made != nullptr ? made : "/tmp");
-}
-
 std::vector<uint8_t> payload_of(uint8_t fill, size_t size) {
   return std::vector<uint8_t>(size, fill);
 }
 
 TEST(ArtifactIoRace, TwoProcessesWritingSamePathNeverPublishTornFile) {
-  const std::string dir = temp_dir("race");
+  const std::string dir = test::make_temp_dir("artifact-race");
   const std::string path = dir + "/contended.cell";
   // Big enough that an interleaved write would need several stream flushes,
   // small enough to keep the stress fast.
@@ -93,7 +84,7 @@ TEST(ArtifactIoRace, TempNamesAreUniquePerProcessAndSequence) {
   // Two back-to-back writes from one process must not collide either (the
   // per-process counter part of the temp name), and each write cleans its
   // temp file up on success.
-  const std::string dir = temp_dir("seq");
+  const std::string dir = test::make_temp_dir("artifact-seq");
   const std::string path = dir + "/seq.cell";
   write_artifact_file(path, ArtifactKind::kSnapshot, payload_of(0x01, 128));
   write_artifact_file(path, ArtifactKind::kSnapshot, payload_of(0x02, 128));

@@ -1,5 +1,6 @@
 // The serving subsystem: JSON parsing, protocol validation, the bounded
-// admission queue, and the Server's batching/ordering/overload behavior.
+// admission queue, the Server's batching/ordering/overload behavior, the
+// admission path both topologies share, and the pool scheduler's wakeups.
 //
 // Server tests run with auto_dispatch=false and drive dispatch_pending()
 // by hand, so exactly when (and in which batches) queued work executes is
@@ -7,10 +8,18 @@
 // of queued work and overload rejection all become deterministic.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +28,8 @@
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
+#include "serve/supervisor.hpp"
+#include "temp_dir.hpp"
 
 namespace dim::serve {
 namespace {
@@ -210,36 +221,7 @@ TEST(ServeProtocol, RejectsOutOfRangeSchedulingFields) {
   EXPECT_EQ(text.error, kErrBadRequest);
 }
 
-// --- bounded queue ---------------------------------------------------------
-
-TEST(ServeQueue, CapacityBoundsAdmission) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: the overload signal
-  int v = 0;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(ServeQueue, CloseDrainsThenReleasesBlockedPop) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.try_push(7));
-  q.close();
-  EXPECT_FALSE(q.try_push(8));  // closed: no new admissions
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));  // already-admitted work still drains
-  EXPECT_EQ(v, 7);
-  std::atomic<bool> released{false};
-  std::thread waiter([&] {
-    int unused = 0;
-    EXPECT_FALSE(q.pop(unused));  // closed and empty
-    released.store(true);
-  });
-  waiter.join();
-  EXPECT_TRUE(released.load());
-}
+// --- admission queue -------------------------------------------------------
 
 TEST(ServeQueue, AdmissionPopOrderIsEdfWithinStrictPriority) {
   // Pop order is a pure function of the pushed (key, order) pairs:
@@ -277,16 +259,17 @@ TEST(ServeQueue, AdmissionQueueBoundsAndCloseDrain) {
   q.close();
   EXPECT_FALSE(q.try_push(4, k));  // closed: no new admissions
   int v = 0;
-  EXPECT_TRUE(q.pop(v));   // already-admitted work still drains
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_FALSE(q.pop(v));  // closed and empty
+  EXPECT_TRUE(q.try_pop(v));   // already-admitted work still drains
+  EXPECT_TRUE(q.try_pop(v));
+  EXPECT_FALSE(q.try_pop(v));  // closed and empty
+  EXPECT_TRUE(q.closed());
 }
 
 TEST(ServeQueue, AdmissionMpmcStressLosesNothing) {
   // Contention harness (runs under TSan in CI): several producers spin on
   // a deliberately tiny queue while several consumers drain it. Every
-  // item pushed must pop exactly once, and close() must release every
-  // blocked consumer after the drain.
+  // item pushed must pop exactly once, and a consumer that finds the queue
+  // closed and then empty is done.
   AdmissionQueue<uint64_t> q(8);
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
@@ -316,9 +299,17 @@ TEST(ServeQueue, AdmissionMpmcStressLosesNothing) {
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&q, &popped_sum, &popped_count] {
       uint64_t item = 0;
-      while (q.pop(item)) {
-        popped_sum.fetch_add(item);
-        popped_count.fetch_add(1);
+      for (;;) {
+        // Closed before an empty pop means empty for good.
+        const bool closed = q.closed();
+        if (q.try_pop(item)) {
+          popped_sum.fetch_add(item);
+          popped_count.fetch_add(1);
+        } else if (closed) {
+          break;
+        } else {
+          std::this_thread::yield();
+        }
       }
     });
   }
@@ -609,9 +600,7 @@ TEST_F(ServeServerTest, RestartWithPersistedStoreRecomputesNothing) {
   // Two server lifetimes over one store directory: the second must serve
   // the identical sweep purely from disk (hits only, zero stores) and
   // produce byte-identical responses.
-  const std::string dir =
-      (fs::temp_directory_path() / "dimsim-serve-restart-test").string();
-  fs::remove_all(dir);
+  const std::string dir = test::make_temp_dir("serve-restart");
   const std::string sweep =
       R"({"id": "s", "kind": "sweep", "workload": "crc32", "shapes": ["config1", "config2"]})";
 
@@ -650,9 +639,7 @@ TEST_F(ServeServerTest, RestartWithPersistedStoreRecomputesNothing) {
 }
 
 TEST_F(ServeServerTest, WarmPoolSurvivesRestartOnDisk) {
-  const std::string dir =
-      (fs::temp_directory_path() / "dimsim-serve-warm-restart").string();
-  fs::remove_all(dir);
+  const std::string dir = test::make_temp_dir("serve-warm-restart");
   const std::string warm_run =
       R"({"id": "w", "kind": "run", "workload": "crc32", "warm": true})";
 
@@ -750,6 +737,200 @@ TEST_F(ServeServerTest, ServeFuzzRequestRunsCampaign) {
   EXPECT_NE(lines[0].find("\"seeds_run\": 2"), std::string::npos);
   EXPECT_NE(lines[0].find("\"clean\": true"), std::string::npos);
   server.shutdown();
+}
+
+// --- both topologies -------------------------------------------------------
+
+// Admission, the immediate kinds and the pickup check belong to the one
+// scheduler (SessionHost), so these cases run against an in-process
+// Server (manual pump) and a 1-worker Supervisor (its scheduler thread
+// pumps; dispatch_pending() is then a no-op) and expect the same bytes.
+enum class Topology { kInProcess, kPool };
+
+class ServeHostTest : public ::testing::TestWithParam<Topology> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Topology::kPool) {
+      SupervisorOptions o;
+      o.workers = 1;
+      o.engine_threads = 2;
+      host_ = std::make_unique<Supervisor>(o);
+    } else {
+      ServerOptions o;
+      o.auto_dispatch = false;
+      o.worker_threads = 2;
+      host_ = std::make_unique<Server>(o);
+    }
+    // The pool's sink runs on a reader thread; drain() orders it before
+    // the test reads `lines_`.
+    session_ = host_->open_session([this](const std::string& line) { lines_.push_back(line); });
+  }
+  void TearDown() override { host_->shutdown(); }
+
+  std::unique_ptr<SessionHost> host_;
+  std::shared_ptr<SessionHost::Session> session_;
+  std::vector<std::string> lines_;
+};
+
+TEST_P(ServeHostTest, InvalidLinesAnswerTheirErrorCodes) {
+  session_->submit("{nope");
+  session_->submit(R"({"id": "k", "kind": "transmogrify"})");
+  session_->submit(R"({"id": 3, "kind": "run", "workload": "crc32", "budget": 0})");
+  session_->drain();
+  ASSERT_EQ(lines_.size(), 3u);
+  EXPECT_NE(lines_[0].find("\"error\": \"parse_error\""), std::string::npos);
+  EXPECT_NE(lines_[1].find("\"id\": \"k\""), std::string::npos);
+  EXPECT_NE(lines_[1].find("\"error\": \"bad_request\""), std::string::npos);
+  EXPECT_NE(lines_[2].find("\"id\": 3"), std::string::npos);
+  EXPECT_NE(lines_[2].find("\"error\": \"zero_budget\""), std::string::npos);
+  const ServeCounters c = host_->counters();
+  EXPECT_EQ(c.rejected_invalid, 3u);
+  EXPECT_EQ(c.accepted, 0u);
+}
+
+TEST_P(ServeHostTest, ImmediateKindsAnswerWithoutDispatch) {
+  session_->submit(R"({"id": 1, "kind": "ping"})");
+  session_->submit(R"({"id": 2, "kind": "stats"})");
+  session_->submit(R"({"id": 3, "kind": "cancel", "target": "nothing"})");
+  session_->drain();
+  ASSERT_EQ(lines_.size(), 3u);
+  EXPECT_EQ(lines_[0], "{\"id\": 1, \"ok\": true, \"kind\": \"pong\"}\n");
+  EXPECT_NE(lines_[1].find("\"kind\": \"stats\""), std::string::npos);
+  EXPECT_EQ(lines_[2], "{\"id\": 3, \"ok\": true, \"kind\": \"cancel\"}\n");
+  // Each topology keeps its own stats key set.
+  const bool pool = GetParam() == Topology::kPool;
+  EXPECT_EQ(lines_[1].find("\"workers\": 1") != std::string::npos, pool);
+  EXPECT_EQ(lines_[1].find("\"dispatched\"") != std::string::npos, pool);
+  EXPECT_EQ(lines_[1].find("\"batched_cells\"") != std::string::npos, !pool);
+}
+
+TEST_P(ServeHostTest, ZeroDeadlineAnswersDeadlineExpired) {
+  session_->submit(R"({"id": "late", "kind": "run", "workload": "crc32", "deadline_ms": 0})");
+  session_->submit(R"({"id": "ok", "kind": "run", "workload": "crc32"})");
+  host_->dispatch_pending();
+  session_->drain();
+  ASSERT_EQ(lines_.size(), 2u);
+  EXPECT_NE(lines_[0].find("\"id\": \"late\""), std::string::npos);
+  EXPECT_NE(lines_[0].find("\"error\": \"deadline_expired\""), std::string::npos);
+  EXPECT_NE(lines_[1].find("\"transparent\": true"), std::string::npos);
+  const ServeCounters c = host_->counters();
+  EXPECT_EQ(c.rejected_deadline, 1u);
+  EXPECT_EQ(c.accepted, 2u);
+}
+
+TEST_P(ServeHostTest, ResponsesEmitInAdmissionOrder) {
+  session_->submit(R"({"id": "p1", "kind": "ping"})");
+  session_->submit(R"({"id": "r", "kind": "run", "workload": "crc32"})");
+  session_->submit(R"({"id": "s", "kind": "sweep", "workload": "crc32", "slots_axis": [8, 16]})");
+  session_->submit(R"({"id": "p2", "kind": "ping"})");
+  host_->dispatch_pending();
+  session_->drain();
+  ASSERT_EQ(lines_.size(), 4u);
+  EXPECT_NE(lines_[0].find("\"id\": \"p1\""), std::string::npos);
+  EXPECT_NE(lines_[1].find("\"id\": \"r\""), std::string::npos);
+  EXPECT_NE(lines_[1].find("\"transparent\": true"), std::string::npos);
+  EXPECT_NE(lines_[2].find("\"id\": \"s\""), std::string::npos);
+  EXPECT_NE(lines_[2].find("\"cells\": 2"), std::string::npos);
+  EXPECT_NE(lines_[3].find("\"id\": \"p2\""), std::string::npos);
+}
+
+TEST_P(ServeHostTest, ShutdownRequestDrainsAdmittedWork) {
+  session_->submit(R"({"id": 0, "kind": "run", "workload": "crc32"})");
+  EXPECT_FALSE(session_->submit(R"({"id": 1, "kind": "shutdown"})"));
+  EXPECT_TRUE(host_->shutting_down());
+  host_->dispatch_pending();  // admitted before the shutdown: still answered
+  session_->submit(R"({"id": 2, "kind": "run", "workload": "crc32"})");
+  session_->drain();
+  ASSERT_EQ(lines_.size(), 3u);
+  EXPECT_NE(lines_[0].find("\"transparent\": true"), std::string::npos);
+  EXPECT_EQ(lines_[1], "{\"id\": 1, \"ok\": true, \"kind\": \"shutdown\"}\n");
+  EXPECT_NE(lines_[2].find("\"error\": \"shutting_down\""), std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, ServeHostTest,
+                         ::testing::Values(Topology::kInProcess, Topology::kPool),
+                         [](const ::testing::TestParamInfo<Topology>& info) {
+                           return info.param == Topology::kPool ? "Pool1" : "InProcess";
+                         });
+
+// --- pool scheduler wakeups ------------------------------------------------
+
+// Responses delivered to a session, with a bounded wait for the n-th.
+struct Inbox {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<std::string> lines;
+
+  void deliver(const std::string& line) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      lines.push_back(line);
+    }
+    cv.notify_all();
+  }
+  bool wait_for(size_t n, std::chrono::seconds limit) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, limit, [&] { return lines.size() >= n; });
+  }
+};
+
+// Regression for the pool's lost wakeup: its scheduler's wait predicate
+// read a queue that admission pushed (and shutdown closed) outside the
+// scheduler's mutex, so a push landing between the predicate check and
+// the block was never seen — the request, or the shutdown, hung. Every
+// round trip here re-runs that race: one response wakes the client (who
+// submits the next request at once) and the scheduler together. Waits are
+// bounded, so a lost wakeup fails this test instead of hanging the suite.
+TEST(ServeSchedulerWakeup, PoolRoundTripsAndShutdownNeverHang) {
+  constexpr size_t kRoundTrips = 500;
+  constexpr auto kLimit = std::chrono::seconds(10);
+  const auto run_line = [](size_t id) {
+    return R"({"id": )" + std::to_string(id) +
+           R"(, "kind": "run", "source": "li $v0, 10\nsyscall\n"})";
+  };
+  SupervisorOptions options;
+  options.workers = 1;
+  options.engine_threads = 1;
+  auto supervisor = std::make_unique<Supervisor>(options);
+  Inbox inbox;
+  auto session =
+      supervisor->open_session([&inbox](const std::string& line) { inbox.deliver(line); });
+
+  size_t submitted = 0;
+  while (submitted < kRoundTrips) {
+    session->submit(run_line(submitted++));
+    if (!inbox.wait_for(submitted, kLimit)) {
+      ADD_FAILURE() << "round trip " << submitted - 1 << " got no response within 10 s";
+      break;
+    }
+  }
+
+  // A submit immediately followed by shutdown(): the close must wake the
+  // scheduler, and every admitted run must still be answered.
+  session->submit(run_line(submitted++));
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  Supervisor* pool = supervisor.get();
+  std::thread closer([pool, &done] {
+    pool->shutdown();
+    done.set_value();
+  });
+  if (finished.wait_for(kLimit) != std::future_status::ready) {
+    ADD_FAILURE() << "shutdown() did not return within 10 s";
+    // A dying worker wakes the scheduler; if even that does not help, the
+    // pool cannot be joined or destroyed, so end the test binary here.
+    for (const pid_t pid : pool->worker_pids()) ::kill(pid, SIGKILL);
+    if (finished.wait_for(kLimit) != std::future_status::ready) {
+      std::fflush(stdout);
+      std::_Exit(1);
+    }
+  }
+  closer.join();
+  ASSERT_TRUE(inbox.wait_for(submitted, std::chrono::seconds(0)))
+      << "an admitted run was not answered by the drain";
+  for (const std::string& line : inbox.lines) {
+    EXPECT_NE(line.find("\"ok\": true"), std::string::npos) << line;
+  }
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "gtest/gtest.h"
 #include "serve/server.hpp"
 #include "serve/supervisor.hpp"
+#include "temp_dir.hpp"
 
 namespace dim::serve {
 namespace {
@@ -76,10 +77,28 @@ void wait_for_restarts(const Supervisor& supervisor, uint64_t at_least) {
   }
 }
 
+// Waits until a migrate/job-*.snap checkpoint newer than `after` exists
+// and returns its write time; returns `after` if `answered` flips or 30 s
+// pass first.
+fs::file_time_type wait_for_checkpoint(const std::string& migrate_dir,
+                                       fs::file_time_type after,
+                                       const std::atomic<bool>& answered) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!answered.load() && std::chrono::steady_clock::now() < deadline) {
+    std::error_code ec;
+    for (const fs::directory_entry& entry : fs::directory_iterator(migrate_dir, ec)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("job-", 0) != 0 || entry.path().extension() != ".snap") continue;
+      const fs::file_time_type written = fs::last_write_time(entry.path(), ec);
+      if (!ec && written > after) return written;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return after;
+}
+
 TEST(ServeChaos, KillLoopByteIdentity) {
-  const std::string base =
-      (fs::temp_directory_path() / "dimsim-serve-chaos-kill").string();
-  fs::remove_all(base);
+  const std::string base = test::make_temp_dir("serve-chaos-kill");
   constexpr uint64_t kCheckpointInterval = 20000;
 
   // Three concurrent sessions with distinct mixes: sweeps (shared-store
@@ -186,9 +205,7 @@ TEST(ServeChaos, KillLoopByteIdentity) {
 }
 
 TEST(ServeChaos, MigrationResumesBudgetedRunByteIdentical) {
-  const std::string base =
-      (fs::temp_directory_path() / "dimsim-serve-chaos-migrate").string();
-  fs::remove_all(base);
+  const std::string base = test::make_temp_dir("serve-chaos-migrate");
   constexpr uint64_t kCheckpointInterval = 20000;
   const std::string request = budget_run(R"("mig")", 4000000);
 
@@ -226,12 +243,23 @@ TEST(ServeChaos, MigrationResumesBudgetedRunByteIdentical) {
   }
   ASSERT_GE(supervisor.counters().dispatched, 1u);
 
+  // Every kill waits for a checkpoint written since the previous one, so
+  // it lands on a worker that has one to resume from — a fixed kill
+  // cadence can outrun a slow (sanitized) worker's first checkpoint. After
+  // a kill, the replacement's fork is awaited before the next poll: this
+  // thread then allocates nothing while the supervisor forks, which keeps
+  // a sanitizer allocator that is not fork-safe from deadlocking the child.
   int kills = 0;
+  fs::file_time_type last_checkpoint = fs::file_time_type::min();
   while (!answered.load() && kills < 5) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    const fs::file_time_type checkpoint =
+        wait_for_checkpoint(options.store_dir + "/migrate", last_checkpoint, answered);
+    if (checkpoint == last_checkpoint) break;  // answered, or no progress in 30 s
+    last_checkpoint = checkpoint;
     const std::vector<pid_t> pids = supervisor.worker_pids();
     if (pids.empty()) continue;
     if (::kill(pids[0], SIGKILL) == 0) ++kills;
+    wait_for_restarts(supervisor, static_cast<uint64_t>(kills));
   }
   session->drain();
 
@@ -243,9 +271,8 @@ TEST(ServeChaos, MigrationResumesBudgetedRunByteIdentical) {
       << "migrated run diverged from the uncrashed reference";
   EXPECT_GE(kills, 1);
   EXPECT_GE(c.worker_restarts, 1u);
-  // Each mid-run kill after the first checkpoint re-queues with a snapshot
-  // to resume from; with a 30ms kill cadence against ~20k-instruction
-  // checkpoint chunks at least one retry migrates rather than restarting.
+  // Each kill lands after a checkpoint, so its re-queue has a snapshot to
+  // resume from and migrates rather than restarting.
   EXPECT_GE(c.migrations, 1u);
   EXPECT_EQ(c.abandoned, 0u);
   fs::remove_all(base);

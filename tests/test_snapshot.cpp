@@ -27,6 +27,7 @@
 #include "snap/io.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/warmstart.hpp"
+#include "temp_dir.hpp"
 #include "work/workload.hpp"
 
 namespace dim {
@@ -506,10 +507,7 @@ TEST(SnapshotMigration, CrossProcessResumeMatchesStraightRun) {
   const accel::AccelStats want = straight.run();
   ASSERT_GT(want.instructions, 100u);
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "dimsim-migrate-oracle").string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = test::make_temp_dir("migrate-oracle");
   const std::string snap_path = dir + "/checkpoint.snap";
   const std::string out_base = dir + "/resumed";
 

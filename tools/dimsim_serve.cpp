@@ -6,7 +6,7 @@
 // rcache images. Clients speak one JSON object per line — over a Unix
 // socket (--socket) or stdin/stdout (--stdio) — and get one response line
 // per request in per-session admission order. Compatible sweep work
-// drained in one dispatcher pass merges into a single SweepEngine grid;
+// drained in one scheduler pass merges into a single SweepEngine grid;
 // budgeted runs execute in run_until checkpoint chunks so `cancel`
 // requests and shutdown take effect promptly; a full admission queue
 // answers `overloaded` instead of buffering without bound.
