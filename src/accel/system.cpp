@@ -63,6 +63,16 @@ void AcceleratedSystem::drop_residency(AccelStats& stats, uint32_t pc) {
   }
 }
 
+void AcceleratedSystem::latch_resident(const rra::Configuration& config) {
+  uint32_t hi = config.start_pc;
+  for (const rra::ArrayOp& op : config.ops) hi = std::max(hi, op.pc);
+  has_resident_ = true;
+  resident_pc_ = config.start_pc;
+  resident_rev_ = config.revision;
+  resident_lo_ = config.start_pc;
+  resident_hi_ = hi + 4;
+}
+
 void AcceleratedSystem::execute_on_array(rra::Configuration* config,
                                          AccelStats& stats) {
   translator_->on_array_executed();
@@ -173,13 +183,7 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
     if (warp_hit) {
       ++warp_fill_;
     } else {
-      uint32_t hi = config_pc;
-      for (const rra::ArrayOp& op : config->ops) hi = std::max(hi, op.pc);
-      has_resident_ = true;
-      resident_pc_ = config_pc;
-      resident_rev_ = config->revision;
-      resident_lo_ = config_pc;
-      resident_hi_ = hi + 4;
+      latch_resident(*config);
       warp_fill_ = 1;
     }
   } else {
@@ -187,15 +191,7 @@ void AcceleratedSystem::execute_on_array(rra::Configuration* config,
         config_.residency == Residency::kAny ||
         (config_.residency == Residency::kLoop && config->end_pc == config_pc);
     if (latchable) {
-      if (!resident) {
-        uint32_t hi = config_pc;
-        for (const rra::ArrayOp& op : config->ops) hi = std::max(hi, op.pc);
-        has_resident_ = true;
-        resident_pc_ = config_pc;
-        resident_rev_ = config->revision;
-        resident_lo_ = config_pc;
-        resident_hi_ = hi + 4;
-      }
+      if (!resident) latch_resident(*config);
     } else {
       has_resident_ = false;
     }
@@ -260,11 +256,66 @@ AccelStats AcceleratedSystem::run() {
   return run_until(std::numeric_limits<uint64_t>::max());
 }
 
-// Trace-dispatch env: reproduces the slow loop's per-retirement body —
-// counters, pipeline retire, translator observation (with the software-BT
-// cost charge) — and the loop-top rcache probe for trace-interior PCs.
-// Event stamps read stats_.instructions / pipeline cycles, so the update
-// order here must match the slow loop exactly.
+// One retirement on the core, whichever path executed it: counters,
+// pipeline timing, the SMC drop of the residency latch, the extension
+// check (slow loop only: trace dispatch never runs while one is armed) and
+// the translator's observation with the software-BT cost charge. Event
+// stamps read stats_.instructions / pipeline cycles, so this order is the
+// one both paths must share. `timing` is the StepInfo itself (slow loop)
+// or the trace's pre-classified RetireRecord.
+template <class Timing>
+void AcceleratedSystem::retire_on_core(const sim::StepInfo& info, const Timing& timing,
+                                       bool extension_armed, AccelStats& stats) {
+  ++stats.instructions;
+  ++stats.proc_instructions;
+  pipeline_.retire(timing);
+  if (info.mem_access) ++stats.proc_mem_accesses;
+  // Processor store into the resident code range (SMC): drop the latch.
+  // Conservative 4-byte width — sub-word stores still hit their word.
+  if (has_resident_ && info.mem_access && isa::is_store(info.instr.op) &&
+      info.mem_addr < resident_hi_ && info.mem_addr + 4 > resident_lo_) {
+    drop_residency(stats, resident_pc_);
+  }
+
+  // Extension: the branch at the end of a fully-committed configuration
+  // just retired. If its counter is saturated in the direction it went,
+  // the following basic block becomes part of the configuration.
+  if (extension_armed && info.pc == extension_branch_pc_ &&
+      isa::is_branch(info.instr.op)) {
+    const auto dir = predictor_.saturated_direction(info.pc);
+    if (dir.has_value() && *dir == info.taken) {
+      // Bookkeeping access, not a dispatch: probe() keeps the hit count
+      // equal to the number of array activations.
+      if (rra::Configuration* config = rcache_->probe(extension_config_pc_)) {
+        if (!translator_->begin_extension(*config, info.instr, info.pc, *dir)) {
+          config->no_extend = true;
+        } else {
+          ++stats.extensions;
+          // The branch is already part of the extension builder; observing
+          // it again would merge a duplicate. Keep the predictor current.
+          predictor_.update(info.pc, info.taken);
+          return;
+        }
+      }
+    }
+  }
+
+  if (config_.translation_cost_per_instr > 0) {
+    // Software-BT emulation: inserting a configuration costs the
+    // processor time proportional to its size.
+    const uint64_t words_before = rcache_->words_written();
+    translator_->observe(info);
+    const uint64_t inserted = rcache_->words_written() - words_before;
+    if (inserted > 0) {
+      pipeline_.charge(inserted * config_.translation_cost_per_instr);
+    }
+  } else {
+    translator_->observe(info);
+  }
+}
+
+// Trace-dispatch env: the loop-top rcache probe for trace-interior PCs and
+// the shared retirement body for every op the trace retires.
 struct AcceleratedSystem::TraceEnv {
   static constexpr bool kDispatchProbe = true;
   AcceleratedSystem* sys;
@@ -283,20 +334,10 @@ struct AcceleratedSystem::TraceEnv {
 
   void retired(const sim::TraceOp& op, uint32_t next_pc, bool taken,
                bool mem_access, uint32_t mem_addr) {
-    ++stats->instructions;
-    ++stats->proc_instructions;
     sim::RetireRecord rec = op.rec;
     rec.mem_access = mem_access;
     rec.mem_addr = mem_addr;
     rec.taken = taken;
-    sys->pipeline_.retire(rec);
-    if (mem_access) ++stats->proc_mem_accesses;
-    // Processor store into the resident code range (SMC): drop the latch.
-    // Conservative 4-byte width — sub-word stores still hit their word.
-    if (sys->has_resident_ && mem_access && isa::is_store(op.instr.op) &&
-        mem_addr < sys->resident_hi_ && mem_addr + 4 > sys->resident_lo_) {
-      sys->drop_residency(*stats, sys->resident_pc_);
-    }
 
     sim::StepInfo info;
     info.instr = op.instr;
@@ -307,16 +348,7 @@ struct AcceleratedSystem::TraceEnv {
     info.mem_access = mem_access;
     info.mem_addr = mem_addr;
     info.halted = false;  // halting ops never enter a trace
-    if (sys->config_.translation_cost_per_instr > 0) {
-      const uint64_t words_before = sys->rcache_->words_written();
-      sys->translator_->observe(info);
-      const uint64_t inserted = sys->rcache_->words_written() - words_before;
-      if (inserted > 0) {
-        sys->pipeline_.charge(inserted * sys->config_.translation_cost_per_instr);
-      }
-    } else {
-      sys->translator_->observe(info);
-    }
+    sys->retire_on_core(info, rec, false, *stats);
   }
 };
 
@@ -354,57 +386,8 @@ AccelStats AcceleratedSystem::run_until(uint64_t instruction_boundary) {
 
     const bool was_extension_candidate = extension_candidate_;
     extension_candidate_ = false;
-
     const sim::StepInfo info = sim::step(state_, memory_, &decode_cache_);
-    ++stats.instructions;
-    ++stats.proc_instructions;
-    pipeline_.retire(info);
-    if (info.mem_access) ++stats.proc_mem_accesses;
-    // Mirror of TraceEnv::retired — SMC into the resident range drops the
-    // latch regardless of which path retired the store.
-    if (has_resident_ && info.mem_access && isa::is_store(info.instr.op) &&
-        info.mem_addr < resident_hi_ && info.mem_addr + 4 > resident_lo_) {
-      drop_residency(stats, resident_pc_);
-    }
-
-    // Extension: the branch at the end of a fully-committed configuration
-    // just retired. If its counter is saturated in the direction it went,
-    // the following basic block becomes part of the configuration.
-    bool branch_absorbed_by_extension = false;
-    if (was_extension_candidate && info.pc == extension_branch_pc_ &&
-        isa::is_branch(info.instr.op)) {
-      const auto dir = predictor_.saturated_direction(info.pc);
-      if (dir.has_value() && *dir == info.taken) {
-        // Bookkeeping access, not a dispatch: probe() keeps the hit count
-        // equal to the number of array activations.
-        if (rra::Configuration* config = rcache_->probe(extension_config_pc_)) {
-          if (!translator_->begin_extension(*config, info.instr, info.pc, *dir)) {
-            config->no_extend = true;
-          } else {
-            ++stats.extensions;
-            // The branch is already part of the extension builder; observing
-            // it again would merge a duplicate. Keep the predictor current.
-            predictor_.update(info.pc, info.taken);
-            branch_absorbed_by_extension = true;
-          }
-        }
-      }
-    }
-
-    if (!branch_absorbed_by_extension) {
-      if (config_.translation_cost_per_instr > 0) {
-        // Software-BT emulation: inserting a configuration costs the
-        // processor time proportional to its size.
-        const uint64_t words_before = rcache_->words_written();
-        translator_->observe(info);
-        const uint64_t inserted = rcache_->words_written() - words_before;
-        if (inserted > 0) {
-          pipeline_.charge(inserted * config_.translation_cost_per_instr);
-        }
-      } else {
-        translator_->observe(info);
-      }
-    }
+    retire_on_core(info, info, was_extension_candidate, stats);
   }
 
   // Derived fields are recomputed from the live components on every exit,

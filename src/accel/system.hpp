@@ -142,6 +142,16 @@ class AcceleratedSystem : private obs::RunClock {
 
   void execute_on_array(rra::Configuration* config, AccelStats& stats);
 
+  // The per-retirement body the slow loop and TraceEnv share (defined in
+  // system.cpp, its only user).
+  template <class Timing>
+  void retire_on_core(const sim::StepInfo& info, const Timing& timing,
+                      bool extension_armed, AccelStats& stats);
+
+  // Latches `config` as the configuration the array holds: its start PC,
+  // rcache revision and code range [start, highest op PC + 4).
+  void latch_resident(const rra::Configuration& config);
+
   // Drops the residency latch (SMC overwrite or config rewrite detected):
   // clears the latch, counts the drop and emits kResidencyDropped for `pc`.
   void drop_residency(AccelStats& stats, uint32_t pc);

@@ -1,13 +1,14 @@
-// Fuzz campaigns: N seeds x the configuration matrix, fanned out over the
-// SweepEngine worker pool.
+// Fuzz campaigns: N seeds through one per-seed oracle, over a pool of
+// worker threads.
 //
-// Detection runs as one sweep grid (seed x matrix point, each with its own
-// baseline run inside the worker); failures are then re-examined serially
-// in seed order — the differential oracle pinpoints the first divergence
-// with event context, and the delta-debugging shrinker minimizes the
-// program. Everything after the sweep is a pure function of the (ordered)
-// sweep results, so a campaign's outcome — including its JSON document —
-// is byte-identical for any worker-thread count.
+// Each seed's program is checked on its own (check_program for
+// transparency, check_dispatch_program for fast-vs-slow dispatch), which
+// stops at the first diverging matrix point. The verdicts land in per-seed
+// slots; a serial tail then walks them in seed order — counts divergent
+// and inconclusive seeds, keeps the first failures with full detail and
+// delta-debugs them against the diverging point. The tail is a pure
+// function of the ordered verdicts, so a campaign's outcome — including
+// its JSON document — is byte-identical for any worker-thread count.
 #pragma once
 
 #include <cstdint>
@@ -52,27 +53,32 @@ struct CampaignResult {
   bool clean() const { return divergent_seeds == 0; }
 };
 
-CampaignResult run_campaign(const CampaignOptions& options);
+// The per-seed verdict a campaign runs: check_program (accelerated vs
+// baseline transparency) or check_dispatch_program (trace dispatch on vs
+// off, the merge gate for superblock trace-engine changes).
+using ProgramCheck = OracleResult (*)(const std::string& source,
+                                      const std::vector<MatrixPoint>& matrix,
+                                      const OracleOptions& options);
 
-// Fast-vs-slow dispatch campaign: every seed's program goes through
-// check_dispatch_program (host_trace_dispatch on vs off must be
-// bit-identical on the Machine and at every matrix point — state, memory,
-// stats, events, cycles). This is the merge gate for changes to the
-// superblock trace engine. Seeds are fanned out over a worker pool; the
-// result (and its JSON) is a pure function of the options, independent of
-// the thread count. Shrinking minimizes against the diverging matrix
-// point (or the machine-level comparison alone when that is what failed).
-CampaignResult run_dispatch_campaign(const CampaignOptions& options);
+// Runs `check` on every seed's program over the matrix. Shrinking
+// minimizes against the diverging matrix point alone (for a dispatch
+// failure on the plain Machine, against the machine comparison alone).
+// An exception from a check is rethrown after all workers joined — the
+// one from the lowest seed when several throw.
+CampaignResult run_campaign(const CampaignOptions& options,
+                            ProgramCheck check = check_program);
 
 // One JSON document; deterministic for a fixed CampaignResult (and the
 // result is thread-count-invariant, so so is the document).
 void write_campaign_json(std::ostream& out, const CampaignResult& result);
 
 // Self-contained reproducer: '#'-commented header (seed, matrix point,
-// divergence, fault, recent events) followed by the shrunk program — the
-// whole file assembles as-is and can be replayed with dimsim-fuzz --replay.
+// divergence, fault, recent events, replay command) followed by the
+// shrunk program — the whole file assembles as-is and can be replayed with
+// dimsim-fuzz --replay. `check` is the oracle the campaign ran; the replay
+// command selects the same one (--cmp-dispatch for check_dispatch_program).
 void write_repro_file(std::ostream& out, const CampaignFailure& failure,
-                      const OracleOptions& oracle);
+                      const OracleOptions& oracle, ProgramCheck check = check_program);
 
 const char* fault_injection_name(bt::FaultInjection fault);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "accel/stats_io.hpp"
@@ -163,49 +164,77 @@ const char* divergence_field_name(DivergenceField field) {
 
 namespace {
 
-// Architectural diff shared by the two dispatch comparisons ("slow" = no
-// trace dispatch, "fast" = trace dispatch). Fills field/detail on the
-// first mismatch; leaves kNone when the states agree.
-void diff_cpu_state(const sim::CpuState& slow, const sim::CpuState& fast,
-                    Divergence& d) {
-  if (slow.halted != fast.halted) {
+// The two runs a diff compares, named as they appear in detail strings:
+// the reference side first, the side under test second.
+struct Sides {
+  const char* reference;
+  const char* tested;
+};
+constexpr Sides kTransparency{"baseline", "accelerated"};
+constexpr Sides kDispatch{"slow", "fast"};
+
+// "<reference> <a> vs <tested> <b>" — the tail of every detail string.
+std::string versus(const Sides& sides, const std::string& a, const std::string& b) {
+  return std::string(sides.reference) + " " + a + " vs " + sides.tested + " " + b;
+}
+
+// The architectural diff both oracles share: termination, output, every
+// register, PC, HI/LO, the memory image (byte-precise) and the retired
+// count, in that order. Fills field/detail on the first mismatch; leaves
+// kNone when the runs agree.
+void diff_cpu_state(const sim::CpuState& a, const sim::CpuState& b,
+                    const Sides& sides, Divergence& d) {
+  if (a.halted != b.halted) {
     d.field = DivergenceField::kTermination;
-    d.detail = std::string("halted: slow ") + (slow.halted ? "true" : "false") +
-               " vs fast " + (fast.halted ? "true" : "false");
+    d.detail = "halted: " + versus(sides, a.halted ? "true" : "false",
+                                   b.halted ? "true" : "false");
     return;
   }
-  if (slow.output != fast.output) {
+  if (a.output != b.output) {
     d.field = DivergenceField::kOutput;
-    d.detail = "program output differs: slow \"" + slow.output + "\" vs fast \"" +
-               fast.output + "\"";
+    d.detail = "program output differs: " +
+               versus(sides, "\"" + a.output + "\"", "\"" + b.output + "\"");
     return;
   }
-  for (size_t r = 0; r < slow.regs.size(); ++r) {
-    if (slow.regs[r] != fast.regs[r]) {
+  for (size_t r = 0; r < a.regs.size(); ++r) {
+    if (a.regs[r] != b.regs[r]) {
       d.field = DivergenceField::kRegister;
-      d.detail = "register $" + std::to_string(r) + ": slow " + hex32(slow.regs[r]) +
-                 " vs fast " + hex32(fast.regs[r]);
+      d.detail = "register $" + std::to_string(r) + ": " +
+                 versus(sides, hex32(a.regs[r]), hex32(b.regs[r]));
       return;
     }
   }
-  if (slow.pc != fast.pc) {
+  if (a.pc != b.pc) {
     d.field = DivergenceField::kRegister;
-    d.detail = "pc: slow " + hex32(slow.pc) + " vs fast " + hex32(fast.pc);
+    d.detail = "pc: " + versus(sides, hex32(a.pc), hex32(b.pc));
     return;
   }
-  if (slow.hi != fast.hi || slow.lo != fast.lo) {
+  if (a.hi != b.hi || a.lo != b.lo) {
     d.field = DivergenceField::kHiLo;
-    d.detail = "hi/lo: slow " + hex32(slow.hi) + "/" + hex32(slow.lo) + " vs fast " +
-               hex32(fast.hi) + "/" + hex32(fast.lo);
+    d.detail = "hi/lo: " + versus(sides, hex32(a.hi) + "/" + hex32(a.lo),
+                                  hex32(b.hi) + "/" + hex32(b.lo));
   }
 }
 
-void diff_memory(const mem::Memory& slow, const mem::Memory& fast, Divergence& d) {
-  const auto addr = slow.first_difference(fast);
+void diff_memory(const mem::Memory& a, const mem::Memory& b, const Sides& sides,
+                 Divergence& d) {
+  const auto addr = a.first_difference(b);
   if (addr.has_value()) {
     d.field = DivergenceField::kMemory;
-    d.detail = "memory byte at " + hex32(*addr) + ": slow " + hex32(slow.read8(*addr)) +
-               " vs fast " + hex32(fast.read8(*addr));
+    d.detail = "memory byte at " + hex32(*addr) + ": " +
+               versus(sides, hex32(a.read8(*addr)), hex32(b.read8(*addr)));
+  }
+}
+
+void diff_architecture(const sim::CpuState& a, const sim::CpuState& b,
+                       const mem::Memory& a_mem, const mem::Memory& b_mem,
+                       uint64_t a_retired, uint64_t b_retired, const Sides& sides,
+                       Divergence& d) {
+  diff_cpu_state(a, b, sides, d);
+  if (d.field == DivergenceField::kNone) diff_memory(a_mem, b_mem, sides, d);
+  if (d.field == DivergenceField::kNone && a_retired != b_retired) {
+    d.field = DivergenceField::kRetiredCount;
+    d.detail = "retired instructions: " + versus(sides, u64(a_retired), u64(b_retired));
   }
 }
 
@@ -220,10 +249,34 @@ std::string first_line_diff(const std::string& a, const std::string& b) {
     const bool gb = static_cast<bool>(std::getline(sb, lb));
     if (!ga && !gb) return "(identical?)";
     if (!ga || !gb || la != lb) {
-      return "slow `" + (ga ? la : std::string("<eof>")) + "` vs fast `" +
-             (gb ? lb : std::string("<eof>")) + "`";
+      return versus(kDispatch, "`" + (ga ? la : std::string("<eof>")) + "`",
+                    "`" + (gb ? lb : std::string("<eof>")) + "`");
     }
   }
+}
+
+// Assembles `source`; a source that does not assemble leaves no verdict.
+std::optional<asmblr::Program> assemble_or_inconclusive(const std::string& source,
+                                                        OracleResult& result) {
+  try {
+    return asmblr::assemble(source);
+  } catch (const std::exception& e) {
+    result.inconclusive = true;
+    result.inconclusive_reason = std::string("assembly failed: ") + e.what();
+    return std::nullopt;
+  }
+}
+
+// Stores `d` as the verdict when it names a difference, with the tail of
+// the tested side's event stream; false when the runs agree.
+bool report(Divergence& d, const std::vector<obs::Event>& events,
+            const OracleOptions& options, OracleResult& result) {
+  if (d.field == DivergenceField::kNone) return false;
+  d.found = true;
+  const size_t keep = std::min(options.event_context, events.size());
+  d.recent_events.assign(events.end() - static_cast<ptrdiff_t>(keep), events.end());
+  result.divergence = std::move(d);
+  return true;
 }
 
 }  // namespace
@@ -232,15 +285,8 @@ OracleResult check_dispatch_program(const std::string& source,
                                     const std::vector<MatrixPoint>& matrix,
                                     const OracleOptions& options) {
   OracleResult result;
-
-  asmblr::Program program;
-  try {
-    program = asmblr::assemble(source);
-  } catch (const std::exception& e) {
-    result.inconclusive = true;
-    result.inconclusive_reason = std::string("assembly failed: ") + e.what();
-    return result;
-  }
+  const std::optional<asmblr::Program> program = assemble_or_inconclusive(source, result);
+  if (!program) return result;
 
   // Level 1: the plain Machine, slow vs fast. Both sides share the limit
   // and must cut at the same instruction, so hitting it is comparable.
@@ -250,42 +296,33 @@ OracleResult check_dispatch_program(const std::string& source,
   sim::MachineConfig fast_cfg = slow_cfg;
   fast_cfg.host_trace_dispatch = true;
 
-  sim::Machine slow_machine(program, slow_cfg);
-  sim::Machine fast_machine(program, fast_cfg);
+  sim::Machine slow_machine(*program, slow_cfg);
+  sim::Machine fast_machine(*program, fast_cfg);
   const sim::RunResult rs = slow_machine.run();
   const sim::RunResult rf = fast_machine.run();
 
   {
     Divergence d;
     d.point_label = "machine";
-    diff_cpu_state(rs.state, rf.state, d);
-    if (d.field == DivergenceField::kNone) {
-      diff_memory(slow_machine.memory(), fast_machine.memory(), d);
-    }
-    if (d.field == DivergenceField::kNone && rs.instructions != rf.instructions) {
-      d.field = DivergenceField::kRetiredCount;
-      d.detail = "retired instructions: slow " + u64(rs.instructions) + " vs fast " +
-                 u64(rf.instructions);
-    }
+    diff_architecture(rs.state, rf.state, slow_machine.memory(), fast_machine.memory(),
+                      rs.instructions, rf.instructions, kDispatch, d);
     if (d.field == DivergenceField::kNone &&
         (rs.cycles != rf.cycles || rs.icache_misses != rf.icache_misses ||
          rs.dcache_misses != rf.dcache_misses)) {
       d.field = DivergenceField::kCycles;
-      d.detail = "cycles/ic-misses/dc-misses: slow " + u64(rs.cycles) + "/" +
-                 u64(rs.icache_misses) + "/" + u64(rs.dcache_misses) + " vs fast " +
-                 u64(rf.cycles) + "/" + u64(rf.icache_misses) + "/" +
-                 u64(rf.dcache_misses);
+      d.detail = "cycles/ic-misses/dc-misses: " +
+                 versus(kDispatch,
+                        u64(rs.cycles) + "/" + u64(rs.icache_misses) + "/" +
+                            u64(rs.dcache_misses),
+                        u64(rf.cycles) + "/" + u64(rf.icache_misses) + "/" +
+                            u64(rf.dcache_misses));
     }
     if (d.field == DivergenceField::kNone && rs.mem_accesses != rf.mem_accesses) {
       d.field = DivergenceField::kStats;
-      d.detail = "memory accesses: slow " + u64(rs.mem_accesses) + " vs fast " +
-                 u64(rf.mem_accesses);
+      d.detail = "memory accesses: " +
+                 versus(kDispatch, u64(rs.mem_accesses), u64(rf.mem_accesses));
     }
-    if (d.field != DivergenceField::kNone) {
-      d.found = true;
-      result.divergence = std::move(d);
-      return result;
-    }
+    if (report(d, {}, options, result)) return result;
   }
 
   // Level 2: the accelerated system at every matrix point, slow vs fast —
@@ -302,25 +339,18 @@ OracleResult check_dispatch_program(const std::string& source,
     fast_sys_cfg.machine = fast_cfg;
     fast_sys_cfg.event_sink = &fast_sink;
 
-    accel::AcceleratedSystem slow_sys(program, slow_sys_cfg);
-    accel::AcceleratedSystem fast_sys(program, fast_sys_cfg);
+    accel::AcceleratedSystem slow_sys(*program, slow_sys_cfg);
+    accel::AcceleratedSystem fast_sys(*program, fast_sys_cfg);
     const accel::AccelStats as = slow_sys.run();
     const accel::AccelStats af = fast_sys.run();
 
     Divergence d;
     d.point_label = point.label;
-    diff_cpu_state(as.final_state, af.final_state, d);
-    if (d.field == DivergenceField::kNone) {
-      diff_memory(slow_sys.memory(), fast_sys.memory(), d);
-    }
-    if (d.field == DivergenceField::kNone && as.instructions != af.instructions) {
-      d.field = DivergenceField::kRetiredCount;
-      d.detail = "retired instructions: slow " + u64(as.instructions) + " vs fast " +
-                 u64(af.instructions);
-    }
+    diff_architecture(as.final_state, af.final_state, slow_sys.memory(),
+                      fast_sys.memory(), as.instructions, af.instructions, kDispatch, d);
     if (d.field == DivergenceField::kNone && as.cycles != af.cycles) {
       d.field = DivergenceField::kCycles;
-      d.detail = "cycles: slow " + u64(as.cycles) + " vs fast " + u64(af.cycles);
+      d.detail = "cycles: " + versus(kDispatch, u64(as.cycles), u64(af.cycles));
     }
     if (d.field == DivergenceField::kNone) {
       std::ostringstream js;
@@ -337,28 +367,21 @@ OracleResult check_dispatch_program(const std::string& source,
       const std::vector<obs::Event>& ef = fast_sink.events();
       if (es.size() != ef.size()) {
         d.field = DivergenceField::kEvents;
-        d.detail = "event count: slow " + u64(es.size()) + " vs fast " +
-                   u64(ef.size());
+        d.detail = "event count: " + versus(kDispatch, u64(es.size()), u64(ef.size()));
       } else {
         for (size_t k = 0; k < es.size(); ++k) {
-          if (obs::format_event(es[k]) != obs::format_event(ef[k])) {
+          const std::string fs = obs::format_event(es[k]);
+          const std::string ff = obs::format_event(ef[k]);
+          if (fs != ff) {
             d.field = DivergenceField::kEvents;
-            d.detail = "event " + u64(k) + ": slow `" + obs::format_event(es[k]) +
-                       "` vs fast `" + obs::format_event(ef[k]) + "`";
+            d.detail = "event " + u64(k) + ": " + versus(kDispatch, "`" + fs + "`",
+                                                          "`" + ff + "`");
             break;
           }
         }
       }
     }
-
-    if (d.field != DivergenceField::kNone) {
-      d.found = true;
-      const std::vector<obs::Event>& events = fast_sink.events();
-      const size_t keep = std::min(options.event_context, events.size());
-      d.recent_events.assign(events.end() - static_cast<ptrdiff_t>(keep), events.end());
-      result.divergence = std::move(d);
-      return result;
-    }
+    if (report(d, fast_sink.events(), options, result)) return result;
   }
   return result;
 }
@@ -367,19 +390,12 @@ OracleResult check_program(const std::string& source,
                            const std::vector<MatrixPoint>& matrix,
                            const OracleOptions& options) {
   OracleResult result;
-
-  asmblr::Program program;
-  try {
-    program = asmblr::assemble(source);
-  } catch (const std::exception& e) {
-    result.inconclusive = true;
-    result.inconclusive_reason = std::string("assembly failed: ") + e.what();
-    return result;
-  }
+  const std::optional<asmblr::Program> program = assemble_or_inconclusive(source, result);
+  if (!program) return result;
 
   sim::MachineConfig machine;
   machine.max_instructions = options.max_instructions;
-  sim::Machine baseline(program, machine);
+  sim::Machine baseline(*program, machine);
   const sim::RunResult base = baseline.run();
   if (base.hit_limit) {
     result.inconclusive = true;
@@ -394,7 +410,7 @@ OracleResult check_program(const std::string& source,
     config.machine = machine;
     config.event_sink = &sink;
     config.fault_injection = options.fault;
-    accel::AcceleratedSystem system(program, config);
+    accel::AcceleratedSystem system(*program, config);
     const accel::AccelStats accel = system.run();
 
     Divergence d;
@@ -406,52 +422,12 @@ OracleResult check_program(const std::string& source,
       d.detail = "baseline halted after " + u64(base.instructions) +
                  " instructions; accelerated still running at the limit (" +
                  u64(machine.max_instructions) + ")";
-    } else if (base.state.output != accel.final_state.output) {
-      d.field = DivergenceField::kOutput;
-      d.detail = "program output differs: baseline \"" + base.state.output +
-                 "\" vs accelerated \"" + accel.final_state.output + "\"";
     } else {
-      for (size_t r = 0; r < base.state.regs.size(); ++r) {
-        if (base.state.regs[r] != accel.final_state.regs[r]) {
-          d.field = DivergenceField::kRegister;
-          d.detail = "register $" + std::to_string(r) + ": baseline " +
-                     hex32(base.state.regs[r]) + " vs accelerated " +
-                     hex32(accel.final_state.regs[r]);
-          break;
-        }
-      }
-      if (d.field == DivergenceField::kNone &&
-          (base.state.hi != accel.final_state.hi ||
-           base.state.lo != accel.final_state.lo)) {
-        d.field = DivergenceField::kHiLo;
-        d.detail = "hi/lo: baseline " + hex32(base.state.hi) + "/" +
-                   hex32(base.state.lo) + " vs accelerated " +
-                   hex32(accel.final_state.hi) + "/" + hex32(accel.final_state.lo);
-      }
-      if (d.field == DivergenceField::kNone) {
-        const auto addr = baseline.memory().first_difference(system.memory());
-        if (addr.has_value()) {
-          d.field = DivergenceField::kMemory;
-          d.detail = "memory byte at " + hex32(*addr) + ": baseline " +
-                     hex32(baseline.memory().read8(*addr)) + " vs accelerated " +
-                     hex32(system.memory().read8(*addr));
-        }
-      }
-      if (d.field == DivergenceField::kNone && base.instructions != accel.instructions) {
-        d.field = DivergenceField::kRetiredCount;
-        d.detail = "retired instructions: baseline " + u64(base.instructions) +
-                   " vs accelerated " + u64(accel.instructions);
-      }
+      diff_architecture(base.state, accel.final_state, baseline.memory(),
+                        system.memory(), base.instructions, accel.instructions,
+                        kTransparency, d);
     }
-
-    if (d.field != DivergenceField::kNone) {
-      d.found = true;
-      const std::vector<obs::Event>& events = sink.events();
-      const size_t keep = std::min(options.event_context, events.size());
-      d.recent_events.assign(events.end() - static_cast<ptrdiff_t>(keep), events.end());
-      result.divergence = std::move(d);
-      return result;
-    }
+    if (report(d, sink.events(), options, result)) return result;
   }
   return result;
 }

@@ -4,11 +4,12 @@
 // architecturally indistinguishable from the plain Minimips pipeline. The
 // oracle enforces that for one program across a matrix of system
 // configurations (array shape x rcache size/policy x speculation depth):
-// for each point it diffs program output, every general register, HI/LO,
-// the full memory image (byte-precise, via mem::Memory::first_difference),
-// retired-instruction count, and termination, and reports the first
-// divergence together with the tail of the configuration-lifecycle event
-// stream (obs/) as debugging context.
+// for each point it diffs termination, program output, every general
+// register, the PC, HI/LO, the full memory image (byte-precise, via
+// mem::Memory::first_difference) and the retired-instruction count — the
+// same architectural diff the dispatch oracle below starts with — and
+// reports the first divergence together with the tail of the
+// configuration-lifecycle event stream (obs/) as debugging context.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +29,12 @@ struct MatrixPoint {
 };
 
 // The full default matrix: 3 array shapes x {FIFO-4, LRU-64} rcache x
-// {spec off, depth 1, depth 3}, each with and without predication +
-// loop residency ("…/pred"). 36 points.
+// {spec off, depth 1, depth 3} = 18 base points, then every base point
+// again with predication + loop residency ("…/pred"), under the elastic
+// execution mode ("…/elastic") and under SIMT ("…/simt"). 72 points.
 std::vector<MatrixPoint> full_matrix();
-// A 6-point subset for smoke tests and per-candidate shrink checks
-// (4 base points + 2 predication points).
+// An 8-point subset for smoke tests and per-candidate shrink checks
+// (4 base points, 2 predication points, 1 elastic and 1 SIMT point).
 std::vector<MatrixPoint> quick_matrix();
 
 enum class DivergenceField : uint8_t {

@@ -228,6 +228,63 @@ TEST(FuzzCampaign, SubuSwapFaultIsDetectable) {
   EXPECT_GT(r.divergent_seeds, 0) << "planted subu fault not detected";
 }
 
+TEST(FuzzCampaign, InstructionLimitIsInconclusiveOnlyForTransparency) {
+  // With a limit far below any generated program's run length, the
+  // baseline never halts: the transparency campaign has no verdict for any
+  // seed. The dispatch check compares the limited runs like any other
+  // (both sides must cut at the same instruction in the same state), so
+  // the same seeds give it a clean verdict each.
+  CampaignOptions options;
+  options.seeds = seed_budget(20);
+  options.matrix = quick_matrix();
+  options.oracle.max_instructions = 20;
+
+  const CampaignResult transparency = run_campaign(options);
+  EXPECT_EQ(transparency.inconclusive_seeds, options.seeds);
+  EXPECT_EQ(transparency.divergent_seeds, 0);
+  EXPECT_TRUE(transparency.failures.empty());
+
+  const CampaignResult dispatch = run_campaign(options, check_dispatch_program);
+  EXPECT_EQ(dispatch.inconclusive_seeds, 0);
+  EXPECT_TRUE(dispatch.clean()) << dispatch.divergent_seeds << " divergent seeds";
+  EXPECT_EQ(dispatch.seeds_run, options.seeds);
+}
+
+// The last header line of a reproducer is the command that replays it.
+std::string replay_line(const CampaignFailure& failure, const OracleOptions& oracle,
+                        ProgramCheck check) {
+  std::ostringstream repro;
+  write_repro_file(repro, failure, oracle, check);
+  std::istringstream lines(repro.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# replay:", 0) == 0) return line;
+  }
+  return "";
+}
+
+TEST(FuzzCampaign, ReproReplaysThroughTheCampaignsOracle) {
+  CampaignFailure failure;
+  failure.seed = 3;
+  failure.program = generate_program(3);
+  failure.shrunk_program = failure.program;
+
+  const OracleOptions defaults;
+  EXPECT_EQ(replay_line(failure, defaults, check_program),
+            "# replay: dimsim-fuzz --replay <this file>");
+  EXPECT_EQ(replay_line(failure, defaults, check_dispatch_program),
+            "# replay: dimsim-fuzz --replay <this file> --cmp-dispatch");
+
+  OracleOptions limited;
+  limited.max_instructions = 300000;
+  limited.fault = bt::FaultInjection::kAddiuImmOffByOne;
+  EXPECT_EQ(replay_line(failure, limited, check_program),
+            "# replay: dimsim-fuzz --replay <this file> --max-instructions 300000 "
+            "--inject-fault addiu-imm");
+  EXPECT_EQ(replay_line(failure, limited, check_dispatch_program),
+            "# replay: dimsim-fuzz --replay <this file> --cmp-dispatch "
+            "--max-instructions 300000 --inject-fault addiu-imm");
+}
+
 TEST(FuzzDispatch, CodePageStoresStayTransparent) {
   // The same-word code-store mode rewrites instructions with their own
   // values, so programs stay transparency-safe: the ordinary
@@ -258,13 +315,13 @@ TEST(FuzzDispatch, CampaignWithSmcIsCleanAndThreadInvariant) {
   options.gen.smc_patch_stores = true;
 
   options.threads = 1;
-  const CampaignResult one = run_dispatch_campaign(options);
+  const CampaignResult one = run_campaign(options, check_dispatch_program);
   EXPECT_TRUE(one.clean()) << one.divergent_seeds << " divergent seeds";
   EXPECT_EQ(one.inconclusive_seeds, 0);
   EXPECT_EQ(one.seeds_run, options.seeds);
 
   options.threads = 4;
-  const CampaignResult four = run_dispatch_campaign(options);
+  const CampaignResult four = run_campaign(options, check_dispatch_program);
   std::ostringstream json_one, json_four;
   write_campaign_json(json_one, one);
   write_campaign_json(json_four, four);
@@ -364,12 +421,12 @@ TEST(FuzzDispatch, HammockCampaignCleanAndThreadInvariant) {
   options.gen.smc_patch_stores = true;
 
   options.threads = 1;
-  const CampaignResult one = run_dispatch_campaign(options);
+  const CampaignResult one = run_campaign(options, check_dispatch_program);
   EXPECT_TRUE(one.clean()) << one.divergent_seeds << " divergent seeds";
   EXPECT_EQ(one.inconclusive_seeds, 0);
 
   options.threads = 4;
-  const CampaignResult four = run_dispatch_campaign(options);
+  const CampaignResult four = run_campaign(options, check_dispatch_program);
   std::ostringstream json_one, json_four;
   write_campaign_json(json_one, one);
   write_campaign_json(json_four, four);
