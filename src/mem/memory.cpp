@@ -1,7 +1,8 @@
 #include "mem/memory.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -71,18 +72,63 @@ std::vector<uint8_t> Memory::read_block(uint32_t addr, size_t size) const {
   return out;
 }
 
+namespace {
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+constexpr size_t kWord = sizeof(uint64_t);
+
+// kZeroWordPow[j] = kFnvPrime^(8 * 2^j) mod 2^64. A zero byte leaves
+// FNV-1a's xor unchanged, so a run of k zero words is the product of the
+// entries for k's set bits. 2^13 words cover a whole page.
+constexpr std::array<uint64_t, 14> kZeroWordPow = [] {
+  std::array<uint64_t, 14> t{};
+  uint64_t p = 1;
+  for (size_t i = 0; i < kWord; ++i) p *= kFnvPrime;
+  for (uint64_t& e : t) {
+    e = p;
+    p *= p;
+  }
+  return t;
+}();
+static_assert(Memory::kPageSize / kWord <= (1u << (kZeroWordPow.size() - 1)));
+
+uint64_t skip_zero_words(uint64_t h, size_t words) {
+  for (size_t j = 0; words != 0; ++j, words >>= 1) {
+    if (words & 1) h *= kZeroWordPow[j];
+  }
+  return h;
+}
+
+uint64_t load_word(const uint8_t* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+// All-zero page, the stand-in for a page absent on one side.
+const std::array<uint8_t, Memory::kPageSize> kZeroPage{};
+
+}  // namespace
+
 uint64_t Memory::content_hash() const {
-  // Order-independent over pages: iterate keys sorted so the hash is stable
-  // regardless of unordered_map iteration order.
-  std::map<uint32_t, const Page*> ordered;
-  for (const auto& [key, page] : pages_) ordered.emplace(key, &page);
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const auto& [key, page] : ordered) {
+  uint64_t h = kFnvBasis;
+  for (const auto& [key, page] : pages_sorted()) {
     h ^= key;
-    h *= 0x100000001b3ull;
-    for (uint8_t b : *page) {
-      h ^= b;
-      h *= 0x100000001b3ull;
+    h *= kFnvPrime;
+    const uint8_t* bytes = page->data();
+    for (size_t off = 0; off < kPageSize;) {
+      if (load_word(bytes + off) == 0) {
+        size_t end = off + kWord;
+        while (end < kPageSize && load_word(bytes + end) == 0) end += kWord;
+        h = skip_zero_words(h, (end - off) / kWord);
+        off = end;
+        continue;
+      }
+      for (size_t k = 0; k < kWord; ++k, ++off) {
+        h ^= bytes[off];
+        h *= kFnvPrime;
+      }
     }
   }
   return h;
@@ -113,23 +159,29 @@ void Memory::restore_pages(
 }
 
 std::optional<uint32_t> Memory::first_difference(const Memory& other) const {
-  std::map<uint32_t, const Page*> mine, theirs;
-  for (const auto& [key, page] : pages_) mine.emplace(key, &page);
-  for (const auto& [key, page] : other.pages_) theirs.emplace(key, &page);
-
-  auto page_byte = [](const Page* p, uint32_t off) -> uint8_t {
-    return p == nullptr ? 0 : (*p)[off];
-  };
-
-  std::map<uint32_t, std::pair<const Page*, const Page*>> keys;
-  for (const auto& [key, page] : mine) keys[key].first = page;
-  for (const auto& [key, page] : theirs) keys[key].second = page;
-  for (const auto& [key, pair] : keys) {
-    for (uint32_t off = 0; off < kPageSize; ++off) {
-      if (page_byte(pair.first, off) != page_byte(pair.second, off)) {
-        return (key << kPageBits) | off;
-      }
+  const auto mine = pages_sorted();
+  const auto theirs = other.pages_sorted();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < mine.size() || j < theirs.size()) {
+    uint32_t key;
+    const uint8_t* a = kZeroPage.data();
+    const uint8_t* b = kZeroPage.data();
+    if (j == theirs.size() || (i < mine.size() && mine[i].first < theirs[j].first)) {
+      key = mine[i].first;
+      a = mine[i++].second->data();
+    } else if (i == mine.size() || theirs[j].first < mine[i].first) {
+      key = theirs[j].first;
+      b = theirs[j++].second->data();
+    } else {
+      key = mine[i].first;
+      a = mine[i++].second->data();
+      b = theirs[j++].second->data();
     }
+    if (std::memcmp(a, b, kPageSize) == 0) continue;
+    uint32_t off = 0;
+    while (a[off] == b[off]) ++off;
+    return (key << kPageBits) | off;
   }
   return std::nullopt;
 }

@@ -55,8 +55,13 @@ class Memory {
   // Number of distinct pages touched (used by tests and stats).
   size_t pages_allocated() const { return pages_.size(); }
 
-  // Content hash over all allocated pages — used by the transparency
-  // property tests to compare baseline vs accelerated final memory state.
+  // Content hash of the image: 64-bit FNV-1a (offset basis
+  // 0xcbf29ce484222325, prime 0x100000001b3) over every allocated page in
+  // ascending page-index order, each page contributing its index (xored in
+  // as one 32-bit value, then one multiply) followed by its kPageSize
+  // bytes. An allocated all-zero page therefore changes the hash.
+  // Snapshots persist this value and serve and sweep compare it, so the
+  // definition is part of the snapshot format and must never change.
   uint64_t content_hash() const;
 
   // Lowest address whose byte differs from `other` (pages absent on one

@@ -32,6 +32,8 @@
 // edges, so admissibility of the full graph covers every runtime walk.
 #include <algorithm>
 #include <array>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.hpp"
@@ -40,12 +42,34 @@
 namespace dim::rra {
 namespace {
 
-// Node ids: start(i) = 2i, produce(i) = 2i + 1.
+// The event graph in flat (CSR) form. Node ids: start(i) = 2i,
+// produce(i) = 2i + 1. Every list of the form x_begin/x holds key k's
+// items at x[x_begin[k] .. x_begin[k + 1]). One instance is reused across
+// graphs (a model owns one, elastic_admissible keeps one per thread), so
+// once its vectors have grown to the largest configuration seen, building
+// and measuring a graph allocates nothing.
 struct EventGraph {
-  int n_ops = 0;
-  std::vector<std::vector<int32_t>> succ;
-  std::vector<uint64_t> cost;  // applied when the node completes
+  std::vector<uint64_t> cost;  // per node, applied when the node completes
+  std::vector<int32_t> dep_begin, dep;    // producers each op waits on
+  std::vector<int32_t> cons_begin, cons;  // consumers of each op's result
+  std::vector<int32_t> row_begin, row_ops;  // each row's ops in issue order
+  std::vector<int32_t> row_of;              // row of each op
+  // Unbounded-queue edges first, then the capacity backpressure edges:
+  // the first `unbounded_edges` entries are the unbounded graph, the whole
+  // array the bounded one.
+  std::vector<std::pair<int32_t, int32_t>> edges;
+  size_t unbounded_edges = 0;
+  // Kahn scratch.
+  std::vector<int32_t> succ_begin, succ, indeg, queue, cursor;
+  std::vector<uint64_t> ready;
 };
+
+// Turns per-key counts (begin[k + 1] = items of key k, begin[0] = 0) into
+// CSR offsets, and sets `cursor` to each key's first free position.
+void counts_to_offsets(std::vector<int32_t>& begin, std::vector<int32_t>& cursor) {
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  cursor.assign(begin.begin(), begin.end() - 1);
+}
 
 uint64_t op_duration_slots(const ArrayOp& op, const ArrayTimingParams& timing,
                            uint64_t spc, uint64_t dcache_penalty) {
@@ -59,24 +83,27 @@ uint64_t op_duration_slots(const ArrayOp& op, const ArrayTimingParams& timing,
   }
 }
 
-// Builds the event graph over the first `n_ops` ops. `trace` (optional)
-// supplies per-op cache penalties and is sized >= n_ops when present;
-// without it all penalties are zero (the static/admissibility view).
-// `capacity` <= 0 means unbounded queues (no backpressure edges).
-EventGraph build_event_graph(const Configuration& config, int n_ops,
-                             int capacity, const ArrayTimingParams& timing,
-                             const ArrayExecTrace* trace) {
-  EventGraph g;
-  g.n_ops = n_ops;
-  g.succ.assign(static_cast<size_t>(n_ops) * 2, {});
-  g.cost.assign(static_cast<size_t>(n_ops) * 2, 0);
+// Builds the event graph over the first `n_ops` ops into `g`. `trace`
+// (optional) supplies per-op cache penalties and is sized >= n_ops when
+// present; without it all penalties are zero (the static/admissibility
+// view). `capacity` <= 0 means unbounded queues (no backpressure edges).
+void build_event_graph(EventGraph& g, const Configuration& config, int n_ops,
+                       int capacity, const ArrayTimingParams& timing,
+                       const ArrayExecTrace* trace) {
+  const size_t n = static_cast<size_t>(n_ops);
+  const size_t rows = static_cast<size_t>(std::max(config.rows_used, 1));
+  g.cost.assign(2 * n, 0);
+  g.dep_begin.resize(n + 1);
+  g.dep.clear();
+  g.cons_begin.assign(n + 1, 0);
+  g.row_begin.assign(rows + 1, 0);
+  g.row_of.resize(n);
 
   const uint64_t spc =
       timing.alu_rows_per_cycle > 0 ? static_cast<uint64_t>(timing.alu_rows_per_cycle) : 1;
 
-  auto edge = [&g](int from, int to) { g.succ[static_cast<size_t>(from)].push_back(to); };
-  auto start_of = [](int i) { return 2 * i; };
-  auto produce_of = [](int i) { return 2 * i + 1; };
+  auto start_of = [](int32_t i) { return 2 * i; };
+  auto produce_of = [](int32_t i) { return 2 * i + 1; };
 
   std::array<int, kNumCtxRegs> last_writer;
   last_writer.fill(-1);
@@ -88,24 +115,17 @@ EventGraph build_event_graph(const Configuration& config, int n_ops,
   // issue order, so the backpressure rule (which asks for the consumers of
   // an *older* row-mate) needs the full consumer lists before any
   // capacity edge can be placed — hence two passes.
-  std::vector<std::vector<int32_t>> deps(static_cast<size_t>(n_ops));
-  std::vector<std::vector<int32_t>> consumers(static_cast<size_t>(n_ops));
-  // Issue order of ops per row, for in-order queues and capacity windows.
-  std::vector<std::vector<int32_t>> row_ops(
-      static_cast<size_t>(std::max(config.rows_used, 1)));
+  for (size_t i = 0; i < n; ++i) {
+    const ArrayOp& op = config.ops[i];
+    const uint64_t penalty = (trace != nullptr && op.kind == isa::FuKind::kLdSt)
+                                 ? trace->ops[i].dcache_penalty
+                                 : 0;
+    g.cost[2 * i + 1] = op_duration_slots(op, timing, spc, penalty);
+    g.dep_begin[i] = static_cast<int32_t>(g.dep.size());
 
-  for (int i = 0; i < n_ops; ++i) {
-    const ArrayOp& op = config.ops[static_cast<size_t>(i)];
-    const uint64_t penalty =
-        (trace != nullptr && op.kind == isa::FuKind::kLdSt)
-            ? trace->ops[static_cast<size_t>(i)].dcache_penalty
-            : 0;
-    g.cost[static_cast<size_t>(produce_of(i))] =
-        op_duration_slots(op, timing, spc, penalty);
-
-    auto depend = [&](int d) {
-      deps[static_cast<size_t>(i)].push_back(d);
-      consumers[static_cast<size_t>(d)].push_back(i);
+    auto depend = [&g](int d) {
+      g.dep.push_back(d);
+      ++g.cons_begin[static_cast<size_t>(d) + 1];
     };
 
     // Data dependences through the context-register wiring. The wiring is
@@ -126,74 +146,109 @@ EventGraph build_event_graph(const Configuration& config, int n_ops,
     // prior store but run concurrently with each other.
     if (op.kind == isa::FuKind::kLdSt && last_store >= 0) depend(last_store);
 
-    const size_t row = static_cast<size_t>(
-        std::min(std::max(op.row, 0), std::max(config.rows_used - 1, 0)));
-    row_ops[row].push_back(i);
+    const int32_t row = std::min(std::max(op.row, 0), std::max(config.rows_used - 1, 0));
+    g.row_of[i] = row;
+    ++g.row_begin[static_cast<size_t>(row) + 1];
 
     // Static bookkeeping for later ops.
     int dests[2];
     const int n_dst = array_dests(op.instr, dests);
     for (int d = 0; d < n_dst; ++d) {
-      if (dests[d] > 0) last_writer[static_cast<size_t>(dests[d])] = i;
+      if (dests[d] > 0) last_writer[static_cast<size_t>(dests[d])] = static_cast<int>(i);
     }
-    if (op.is_pred_def) pred_def[static_cast<size_t>(op.pred_slot)] = i;
-    if (op.kind == isa::FuKind::kLdSt && isa::is_store(op.instr.op)) last_store = i;
+    if (op.is_pred_def) pred_def[static_cast<size_t>(op.pred_slot)] = static_cast<int>(i);
+    if (op.kind == isa::FuKind::kLdSt && isa::is_store(op.instr.op)) {
+      last_store = static_cast<int>(i);
+    }
+  }
+  g.dep_begin[n] = static_cast<int32_t>(g.dep.size());
+
+  // Consumer lists and row lists, both in issue order.
+  counts_to_offsets(g.cons_begin, g.cursor);
+  g.cons.resize(g.dep.size());
+  for (size_t i = 0; i < n; ++i) {
+    for (int32_t k = g.dep_begin[i]; k < g.dep_begin[i + 1]; ++k) {
+      const size_t d = static_cast<size_t>(g.dep[static_cast<size_t>(k)]);
+      g.cons[static_cast<size_t>(g.cursor[d]++)] = static_cast<int32_t>(i);
+    }
+  }
+  counts_to_offsets(g.row_begin, g.cursor);
+  g.row_ops.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t row = static_cast<size_t>(g.row_of[i]);
+    g.row_ops[static_cast<size_t>(g.cursor[row]++)] = static_cast<int32_t>(i);
   }
 
   // Pass 2: edges.
-  for (int i = 0; i < n_ops; ++i) {
-    edge(start_of(i), produce_of(i));
-    for (const int32_t d : deps[static_cast<size_t>(i)]) {
-      edge(produce_of(d), start_of(i));
+  g.edges.clear();
+  for (int32_t i = 0; i < n_ops; ++i) {
+    g.edges.emplace_back(start_of(i), produce_of(i));
+    for (int32_t k = g.dep_begin[static_cast<size_t>(i)];
+         k < g.dep_begin[static_cast<size_t>(i) + 1]; ++k) {
+      g.edges.emplace_back(produce_of(g.dep[static_cast<size_t>(k)]), start_of(i));
     }
   }
-  for (const std::vector<int32_t>& mates : row_ops) {
-    for (size_t q = 0; q < mates.size(); ++q) {
-      // A row's results enter its queue in order.
-      if (q > 0) edge(produce_of(mates[q - 1]), produce_of(mates[q]));
-      // Capacity backpressure: the q-th op on a row reuses the queue slot
-      // of the (q - capacity)-th, which frees only once every consumer of
-      // that older result has fired. With no consumers it drains straight
-      // to the output bank, which the in-order chain already sequences.
-      if (capacity > 0 && static_cast<int>(q) >= capacity) {
-        const int older = mates[q - static_cast<size_t>(capacity)];
-        for (const int32_t c : consumers[static_cast<size_t>(older)]) {
-          edge(start_of(c), produce_of(mates[q]));
-        }
+  // A row's results enter its queue in order.
+  for (size_t r = 0; r < rows; ++r) {
+    for (int32_t q = g.row_begin[r] + 1; q < g.row_begin[r + 1]; ++q) {
+      g.edges.emplace_back(produce_of(g.row_ops[static_cast<size_t>(q) - 1]),
+                           produce_of(g.row_ops[static_cast<size_t>(q)]));
+    }
+  }
+  g.unbounded_edges = g.edges.size();
+  // Capacity backpressure: the q-th op on a row reuses the queue slot of
+  // the (q - capacity)-th, which frees only once every consumer of that
+  // older result has fired. With no consumers it drains straight to the
+  // output bank, which the in-order chain already sequences.
+  if (capacity <= 0) return;
+  for (size_t r = 0; r < rows; ++r) {
+    if (g.row_begin[r + 1] - g.row_begin[r] <= capacity) continue;
+    for (int32_t q = g.row_begin[r] + capacity; q < g.row_begin[r + 1]; ++q) {
+      const size_t older = static_cast<size_t>(g.row_ops[static_cast<size_t>(q - capacity)]);
+      for (int32_t k = g.cons_begin[older]; k < g.cons_begin[older + 1]; ++k) {
+        g.edges.emplace_back(start_of(g.cons[static_cast<size_t>(k)]),
+                             produce_of(g.row_ops[static_cast<size_t>(q)]));
       }
     }
   }
-  return g;
 }
 
-// Kahn longest-path. Returns false on a cycle (deadlock); otherwise sets
-// `makespan` to the latest completion over all nodes, in slots.
-bool graph_makespan(const EventGraph& g, uint64_t* makespan) {
-  const size_t n = g.succ.size();
-  std::vector<int32_t> indeg(n, 0);
-  for (const auto& adj : g.succ) {
-    for (const int32_t v : adj) ++indeg[static_cast<size_t>(v)];
+// Kahn longest-path over the first `n_edges` edges of `g`. Returns false
+// on a cycle (deadlock); otherwise sets `makespan` to the latest
+// completion over all nodes, in slots.
+bool graph_makespan(EventGraph& g, size_t n_edges, uint64_t* makespan) {
+  const size_t n = g.cost.size();
+  g.succ_begin.assign(n + 1, 0);
+  g.indeg.assign(n, 0);
+  for (size_t e = 0; e < n_edges; ++e) {
+    const auto [from, to] = g.edges[e];
+    ++g.succ_begin[static_cast<size_t>(from) + 1];
+    ++g.indeg[static_cast<size_t>(to)];
   }
-  std::vector<uint64_t> ready(n, 0);
-  std::vector<int32_t> queue;
-  queue.reserve(n);
+  counts_to_offsets(g.succ_begin, g.cursor);
+  g.succ.resize(n_edges);
+  for (size_t e = 0; e < n_edges; ++e) {
+    const auto [from, to] = g.edges[e];
+    g.succ[static_cast<size_t>(g.cursor[static_cast<size_t>(from)]++)] = to;
+  }
+
+  g.ready.assign(n, 0);
+  g.queue.clear();
   for (size_t v = 0; v < n; ++v) {
-    if (indeg[v] == 0) queue.push_back(static_cast<int32_t>(v));
+    if (g.indeg[v] == 0) g.queue.push_back(static_cast<int32_t>(v));
   }
   uint64_t best = 0;
-  size_t processed = 0;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const size_t u = static_cast<size_t>(queue[head]);
-    ++processed;
-    const uint64_t finish = ready[u] + g.cost[u];
+  for (size_t head = 0; head < g.queue.size(); ++head) {
+    const size_t u = static_cast<size_t>(g.queue[head]);
+    const uint64_t finish = g.ready[u] + g.cost[u];
     best = std::max(best, finish);
-    for (const int32_t v : g.succ[u]) {
-      const size_t vs = static_cast<size_t>(v);
-      ready[vs] = std::max(ready[vs], finish);
-      if (--indeg[vs] == 0) queue.push_back(v);
+    for (int32_t k = g.succ_begin[u]; k < g.succ_begin[u + 1]; ++k) {
+      const size_t v = static_cast<size_t>(g.succ[static_cast<size_t>(k)]);
+      g.ready[v] = std::max(g.ready[v], finish);
+      if (--g.indeg[v] == 0) g.queue.push_back(static_cast<int32_t>(v));
     }
   }
-  if (processed != n) return false;  // cycle
+  if (g.queue.size() != n) return false;  // cycle
   *makespan = best;
   return true;
 }
@@ -221,18 +276,16 @@ class ElasticModel final : public ExecutionModel {
                            mem::Memory& memory, mem::Cache* dcache,
                            const ArrayTimingParams& timing,
                            bool resident) const override {
-    ArrayExecTrace trace;
+    trace_.ops.clear();
     ArrayExecOutcome out =
-        execute_configuration(config, state, memory, dcache, timing, resident, &trace);
+        execute_configuration(config, state, memory, dcache, timing, resident, &trace_);
 
-    const int evaluated = static_cast<int>(trace.ops.size());
+    const int evaluated = static_cast<int>(trace_.ops.size());
+    build_event_graph(graph_, config, evaluated, capacity_, timing, &trace_);
     uint64_t bounded = 0;
     uint64_t unbounded = 0;
-    const EventGraph g_cap =
-        build_event_graph(config, evaluated, capacity_, timing, &trace);
-    const EventGraph g_inf =
-        build_event_graph(config, evaluated, /*capacity=*/0, timing, &trace);
-    if (!graph_makespan(g_cap, &bounded) || !graph_makespan(g_inf, &unbounded)) {
+    if (!graph_makespan(graph_, graph_.edges.size(), &bounded) ||
+        !graph_makespan(graph_, graph_.unbounded_edges, &unbounded)) {
       // Unreachable for admitted configurations (the dispatcher falls back
       // to row-sync on rejection); keep the row-sync timing untouched.
       return out;
@@ -249,17 +302,24 @@ class ElasticModel final : public ExecutionModel {
 
  private:
   int capacity_;
+  // Per-activation scratch, reused so that timing an activation does not
+  // allocate. A model belongs to one system and is never shared across
+  // threads.
+  mutable ArrayExecTrace trace_;
+  mutable EventGraph graph_;
 };
 
 }  // namespace
 
 bool elastic_admissible(const Configuration& config, int fifo_capacity) {
+  // Per-thread scratch: the translator classifies configurations from
+  // sweep and fuzz worker threads.
+  thread_local EventGraph g;
   // <= 0 means unbounded queues: no backpressure edges, always acyclic.
-  const EventGraph g =
-      build_event_graph(config, config.instruction_count(), fifo_capacity,
-                        ArrayTimingParams{}, nullptr);
+  build_event_graph(g, config, config.instruction_count(), fifo_capacity,
+                    ArrayTimingParams{}, nullptr);
   uint64_t ignored = 0;
-  return graph_makespan(g, &ignored);
+  return graph_makespan(g, g.edges.size(), &ignored);
 }
 
 namespace detail {

@@ -62,6 +62,8 @@ struct ExecModeParams {
   int lanes = 4;
 };
 
+// A model instance belongs to one system and is never shared across
+// threads: execute() reuses per-activation scratch held by the model.
 class ExecutionModel {
  public:
   virtual ~ExecutionModel() = default;

@@ -30,14 +30,14 @@ class SimtModel final : public ExecutionModel {
                            mem::Memory& memory, mem::Cache* dcache,
                            const ArrayTimingParams& timing,
                            bool resident) const override {
-    ArrayExecTrace trace;
+    trace_.ops.clear();
     ArrayExecOutcome out =
-        execute_configuration(config, state, memory, dcache, timing, resident, &trace);
+        execute_configuration(config, state, memory, dcache, timing, resident, &trace_);
 
     // Rows the walk actually traversed (a misspeculation-truncated walk
     // stops early; the static schedule stops with it).
     int last_row = -1;
-    for (size_t k = 0; k < trace.ops.size(); ++k) {
+    for (size_t k = 0; k < trace_.ops.size(); ++k) {
       last_row = std::max(last_row, config.ops[k].row);
     }
     const int limit = std::min(last_row, config.rows_used - 1);
@@ -58,6 +58,10 @@ class SimtModel final : public ExecutionModel {
   // Warp size; consumed by the system's latch bookkeeping, kept here so a
   // model instance fully describes its personality.
   [[maybe_unused]] int lanes_;
+  // Per-activation scratch, reused so that an activation does not
+  // allocate. A model belongs to one system and is never shared across
+  // threads.
+  mutable ArrayExecTrace trace_;
 };
 
 }  // namespace

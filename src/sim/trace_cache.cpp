@@ -203,25 +203,32 @@ Trace* TraceCache::hot_trace(uint32_t pc, const mem::Memory& memory) {
   Slot& s = slots_[slot_index(pc)];
   if (s.head == pc) {
     if (s.rejected) return nullptr;
-    if (validate(s.trace, memory)) return &s.trace;
+    Trace& t = pool_[s.body];
+    if (validate(t, memory)) return &t;
     // Stale words (self-modifying code or image change without clear()):
     // rebuild from what memory holds now.
     ++stats_.revalidation_rebuilds;
-    if (build_trace(s.trace, pc, memory)) return &s.trace;
+    if (build_trace(t, pc, memory)) return &t;
     s.rejected = true;
     ++stats_.rejected_heads;
     return nullptr;
   }
-  // Rival head warming up in this slot; it takes over at kHeat visits.
+  // Rival head warming up in this slot; it takes over at kHeat visits,
+  // rebuilding into the slot's existing body.
   if (s.cand_pc == pc) {
     if (++s.cand_heat < kHeat) return nullptr;
     s.cand_pc = 1;
     s.cand_heat = 0;
     s.head = pc;
-    if (build_trace(s.trace, pc, memory)) {
+    if (s.body == kNoBody) {
+      s.body = static_cast<uint32_t>(pool_.size());
+      pool_.emplace_back();
+    }
+    Trace& t = pool_[s.body];
+    if (build_trace(t, pc, memory)) {
       s.rejected = false;
       ++stats_.traces_built;
-      return &s.trace;
+      return &t;
     }
     s.rejected = true;
     ++stats_.rejected_heads;

@@ -215,9 +215,10 @@ class TraceCache {
 
   // Traces never hold pointers, but the data TLB does; a copied cache must
   // not alias the source's Memory, so copies start with a cold TLB.
-  TraceCache(const TraceCache& o) : slots_(o.slots_), stats_(o.stats_) {}
+  TraceCache(const TraceCache& o) : slots_(o.slots_), pool_(o.pool_), stats_(o.stats_) {}
   TraceCache& operator=(const TraceCache& o) {
     slots_ = o.slots_;
+    pool_ = o.pool_;
     stats_ = o.stats_;
     tlb_ = DataTlb{};
     return *this;
@@ -255,6 +256,7 @@ class TraceCache {
   // heat, rejection flags and the TLB are not word-checked.
   void clear() {
     for (Slot& s : slots_) s = Slot{};
+    pool_.clear();
     tlb_ = DataTlb{};
     stats_ = TraceStats{};
   }
@@ -264,7 +266,7 @@ class TraceCache {
   // Formation/validation introspection for tests.
   const Trace* peek(uint32_t pc) const {
     const Slot& s = slots_[slot_index(pc)];
-    return (s.head == pc && !s.rejected) ? &s.trace : nullptr;
+    return (s.head == pc && !s.rejected) ? &pool_[s.body] : nullptr;
   }
 
   static constexpr size_t kMaxOps = 64;  // longest trace (<= 256 bytes of code)
@@ -278,12 +280,17 @@ class TraceCache {
                           Env& env);
 
  private:
+  // A slot is a head-table entry; its trace body lives in pool_. A slot
+  // gets a body when its first head forms, and a rival head that takes
+  // the slot over rebuilds into that same body, so pool_ never holds more
+  // than kSlots bodies and a fresh cache allocates none.
+  static constexpr uint32_t kNoBody = ~0u;
   struct Slot {
     uint32_t head = 1;      // established trace head (1 = none)
-    bool rejected = false;  // head built but below kMinOps
     uint32_t cand_pc = 1;   // rival head warming up
+    uint32_t body = kNoBody;  // index into pool_ (set once head != 1)
+    bool rejected = false;  // head built but below kMinOps
     uint8_t cand_heat = 0;
-    Trace trace;
   };
   static constexpr size_t kSlots = 4096;
 
@@ -297,6 +304,7 @@ class TraceCache {
   bool validate(const Trace& t, const mem::Memory& memory) const;
 
   std::vector<Slot> slots_;
+  std::vector<Trace> pool_;
   DataTlb tlb_;
   TraceStats stats_;
 };

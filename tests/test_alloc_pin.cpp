@@ -1,8 +1,9 @@
 // Allocation pins for the accelerated hot path. This binary replaces the
 // global operator new with a counting one, so it is kept apart from the
 // main test binary. After warm-up, an array activation of a cached
-// configuration and a DIM capture that is thrown away (too short or
-// aborted) must not touch the heap.
+// configuration, its elastic or SIMT timing, an elastic admissibility
+// check and a DIM capture that is thrown away (too short or aborted) must
+// not touch the heap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "mem/cache.hpp"
 #include "mem/memory.hpp"
 #include "rra/array_exec.hpp"
+#include "rra/exec_mode/execution_model.hpp"
 #include "sim/cpu_state.hpp"
 
 namespace {
@@ -72,22 +74,26 @@ bt::TranslatorParams params() {
   return p;
 }
 
-TEST(AllocPin, CachedConfigurationActivationAllocatesNothing) {
-  // Loads, stores with forwarding, a multiply and two speculated branches.
+// Loads, stores with forwarding, a multiply and two speculated branches.
+rra::Configuration mixed_configuration() {
   bt::ConfigBuilder b(0x100, params());
-  ASSERT_TRUE(b.try_add(imm(Op::kLw, 9, 8, 0), 0x100));
-  ASSERT_TRUE(b.try_add(r3(Op::kAddu, 10, 9, 9), 0x104));
-  ASSERT_TRUE(b.try_add(imm(Op::kSw, 10, 8, 4), 0x108));
-  ASSERT_TRUE(b.try_add(imm(Op::kSb, 9, 8, 9), 0x10C));
-  ASSERT_TRUE(b.try_add(imm(Op::kLw, 11, 8, 8), 0x110));
-  ASSERT_TRUE(b.try_add_branch(imm(Op::kBne, 8, 8, 0), 0x114, false));
-  ASSERT_TRUE(b.try_add(r3(Op::kMult, 0, 10, 11), 0x118));
-  ASSERT_TRUE(b.try_add(r3(Op::kMflo, 12, 0, 0), 0x11C));
-  ASSERT_TRUE(b.try_add(imm(Op::kLhu, 13, 8, 6), 0x120));
-  ASSERT_TRUE(b.try_add_branch(imm(Op::kBeq, 8, 8, 0), 0x124, true));
-  ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 14, 13, 1), 0x128));
+  EXPECT_TRUE(b.try_add(imm(Op::kLw, 9, 8, 0), 0x100));
+  EXPECT_TRUE(b.try_add(r3(Op::kAddu, 10, 9, 9), 0x104));
+  EXPECT_TRUE(b.try_add(imm(Op::kSw, 10, 8, 4), 0x108));
+  EXPECT_TRUE(b.try_add(imm(Op::kSb, 9, 8, 9), 0x10C));
+  EXPECT_TRUE(b.try_add(imm(Op::kLw, 11, 8, 8), 0x110));
+  EXPECT_TRUE(b.try_add_branch(imm(Op::kBne, 8, 8, 0), 0x114, false));
+  EXPECT_TRUE(b.try_add(r3(Op::kMult, 0, 10, 11), 0x118));
+  EXPECT_TRUE(b.try_add(r3(Op::kMflo, 12, 0, 0), 0x11C));
+  EXPECT_TRUE(b.try_add(imm(Op::kLhu, 13, 8, 6), 0x120));
+  EXPECT_TRUE(b.try_add_branch(imm(Op::kBeq, 8, 8, 0), 0x124, true));
+  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 14, 13, 1), 0x128));
+  return b.finalize(0x12C);
+}
+
+TEST(AllocPin, CachedConfigurationActivationAllocatesNothing) {
   bt::ReconfigCache cache(16);
-  cache.insert(b.finalize(0x12C));
+  cache.insert(mixed_configuration());
 
   mem::Memory memory;
   memory.write32(0x10008000, 7);
@@ -111,6 +117,42 @@ TEST(AllocPin, CachedConfigurationActivationAllocatesNothing) {
   const long allocations = g_allocations.load() - before;
   EXPECT_EQ(allocations, 0);
   EXPECT_EQ(committed, 1000 * config->instruction_count());
+}
+
+TEST(AllocPin, ElasticAndSimtTimingAllocatesNothing) {
+  // The elastic and SIMT models reuse their per-activation scratch, and
+  // the admissibility check reuses per-thread scratch: after warm-up,
+  // timing an activation and classifying a configuration stay off the heap.
+  const rra::Configuration config = mixed_configuration();
+  mem::Memory memory;
+  memory.write32(0x10008000, 7);
+  mem::Cache dcache(mem::CacheParams{});
+  const rra::ArrayTimingParams timing;
+  for (const rra::ExecMode mode : {rra::ExecMode::kElastic, rra::ExecMode::kSimt}) {
+    rra::ExecModeParams mode_params;
+    mode_params.mode = mode;
+    const auto model = rra::make_execution_model(mode_params);
+    sim::CpuState state;
+    state.regs[8] = 0x10008000;
+    for (int k = 0; k < 4; ++k) model->execute(config, state, memory, &dcache, timing, false);
+
+    uint64_t cycles = 0;
+    const long before = g_allocations.load();
+    for (int k = 0; k < 1000; ++k) {
+      cycles += model->execute(config, state, memory, &dcache, timing, false).exec_cycles;
+    }
+    const long allocations = g_allocations.load() - before;
+    EXPECT_EQ(allocations, 0) << rra::exec_mode_name(mode);
+    EXPECT_GT(cycles, 0u);
+  }
+
+  const bool admitted = rra::elastic_admissible(config, 1);
+  int same = 0;
+  const long before = g_allocations.load();
+  for (int k = 0; k < 1000; ++k) same += rra::elastic_admissible(config, 1) == admitted;
+  const long allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 0);
+  EXPECT_EQ(same, 1000);
 }
 
 TEST(AllocPin, DiscardedCapturesAllocateNothing) {

@@ -79,39 +79,82 @@ TEST(ExecModes, PureChainAdmissibleAtCapacityOne) {
   EXPECT_TRUE(elastic_admissible(c, 4));
 }
 
-TEST(ExecModes, JointConsumerDeadlocksAtCapacityOne) {
-  // Two independent producers land on the same row; their joint consumer
-  // needs both tokens at once. With one slot in the row's output queue the
-  // second producer cannot fire until the consumer drains the first token,
-  // and the consumer cannot fire until the second producer does: deadlock.
+// Two independent producers land on the same row; their joint consumer
+// needs both tokens at once. With one slot in the row's output queue the
+// second producer cannot fire until the consumer drains the first token,
+// and the consumer cannot fire until the second producer does: deadlock.
+Configuration joint_consumer() {
   bt::ConfigBuilder b(0x100, default_params());
-  ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
-  ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x104));
-  ASSERT_TRUE(b.try_add(r3(Op::kAddu, 10, 8, 9), 0x108));
-  const Configuration c = b.finalize(0x10C);
+  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x100));
+  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x104));
+  EXPECT_TRUE(b.try_add(r3(Op::kAddu, 10, 8, 9), 0x108));
+  return b.finalize(0x10C);
+}
+
+void expect_joint_consumer_admissibility() {
+  const Configuration c = joint_consumer();
   EXPECT_FALSE(elastic_admissible(c, 1));
   EXPECT_TRUE(elastic_admissible(c, 2));
   EXPECT_TRUE(elastic_admissible(c, 0));  // 0 = unbounded queues
 }
 
+TEST(ExecModes, JointConsumerDeadlocksAtCapacityOne) {
+  expect_joint_consumer_admissibility();
+}
+
 // ---------------------------------------------------------------------------
 // 2. Backpressure is timing-only.
 
-TEST(ExecModes, BackpressureStallsAtCapacityOneOnly) {
-  // Row 0 holds three ops in order: a chain root, then two independent
-  // producers. The first producer's consumer also waits on the end of the
-  // chain, so at capacity 1 the second producer sits behind an undrained
-  // token (a stall, not a deadlock: nothing downstream of the second
-  // producer feeds the chain).
+// Row 0 holds three ops in order: a chain root, then two independent
+// producers. The first producer's consumer also waits on the end of the
+// chain, so at capacity 1 the second producer sits behind an undrained
+// token (a stall, not a deadlock: nothing downstream of the second
+// producer feeds the chain).
+Configuration backpressure_shape() {
   bt::ConfigBuilder b(0x100, default_params());
-  ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 15, 0, 3), 0x100));   // chain root, row 0
-  ASSERT_TRUE(b.try_add(r3(Op::kAddu, 14, 15, 15), 0x104));   // row 1
-  ASSERT_TRUE(b.try_add(r3(Op::kAddu, 13, 14, 14), 0x108));   // row 2
-  ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x10C));    // producer A, row 0
-  ASSERT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x110));    // producer B, row 0
-  ASSERT_TRUE(b.try_add(r3(Op::kAddu, 11, 8, 13), 0x114));    // consumer of A + chain
-  ASSERT_TRUE(b.try_add(r3(Op::kAddu, 12, 9, 9), 0x118));     // consumer of B
-  const Configuration c = b.finalize(0x11C);
+  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 15, 0, 3), 0x100));   // chain root, row 0
+  EXPECT_TRUE(b.try_add(r3(Op::kAddu, 14, 15, 15), 0x104));   // row 1
+  EXPECT_TRUE(b.try_add(r3(Op::kAddu, 13, 14, 14), 0x108));   // row 2
+  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 8, 0, 1), 0x10C));    // producer A, row 0
+  EXPECT_TRUE(b.try_add(imm(Op::kAddiu, 9, 0, 2), 0x110));    // producer B, row 0
+  EXPECT_TRUE(b.try_add(r3(Op::kAddu, 11, 8, 13), 0x114));    // consumer of A + chain
+  EXPECT_TRUE(b.try_add(r3(Op::kAddu, 12, 9, 9), 0x118));     // consumer of B
+  return b.finalize(0x11C);
+}
+
+// The backpressure shape repeated twelve times on the large array, each
+// repetition's chain continuing the previous one's and feeding a load, a
+// store and a multiply: a much larger event graph that deadlocks at
+// capacity 1, stalls at capacity 2 and carries cache-miss penalties on its
+// memory ops.
+Configuration large_mixed_shape() {
+  bt::TranslatorParams p = default_params();
+  p.shape = ArrayShape::config3();
+  bt::ConfigBuilder b(0x1000, p);
+  uint32_t pc = 0x1000;
+  auto add = [&](const Instr& i) {
+    EXPECT_TRUE(b.try_add(i, pc));
+    pc += 4;
+  };
+  add(imm(Op::kAddiu, 13, 0, 3));
+  for (int16_t g = 0; g < 12; ++g) {
+    add(r3(Op::kAddu, 15, 13, 13));                  // chain
+    add(r3(Op::kAddu, 14, 15, 15));
+    add(r3(Op::kAddu, 13, 14, 14));
+    add(imm(Op::kAddiu, 8, 0, g));                   // producer A
+    add(imm(Op::kAddiu, 9, 0, static_cast<int16_t>(g + 1)));  // producer B
+    add(r3(Op::kAddu, 11, 8, 13));                   // consumer of A + chain
+    add(r3(Op::kAddu, 12, 9, 9));                    // consumer of B
+    add(imm(Op::kLw, 10, 16, static_cast<int16_t>(128 * g)));
+    add(r3(Op::kMult, 0, 10, 11));
+    add(r3(Op::kMflo, 7, 0, 0));
+    add(imm(Op::kSw, 7, 16, static_cast<int16_t>(64 + 128 * g)));
+  }
+  return b.finalize(pc);
+}
+
+TEST(ExecModes, BackpressureStallsAtCapacityOneOnly) {
+  const Configuration c = backpressure_shape();
   ASSERT_TRUE(elastic_admissible(c, 1));
 
   // One row per cycle so a one-slot makespan difference is visible in
@@ -149,6 +192,52 @@ TEST(ExecModes, BackpressureStallsAtCapacityOneOnly) {
   EXPECT_EQ(o_deep.fifo_stall_cycles, 0u);
   EXPECT_GE(o_cap1.exec_cycles, o_deep.exec_cycles);
   EXPECT_EQ(o_sync.fifo_stall_cycles, 0u);
+}
+
+TEST(ExecModes, ReusedElasticModelMatchesFreshModels) {
+  // One model instance times a large configuration, a small one, then the
+  // large one again; every activation must time exactly like a fresh
+  // model's (its reused scratch carries no stale sizes). At capacity 1 the
+  // large graph has a cycle, so its timing attempt stops half-way.
+  const Configuration large = large_mixed_shape();
+  const Configuration small = backpressure_shape();
+  ASSERT_FALSE(elastic_admissible(large, 1));
+  ASSERT_TRUE(elastic_admissible(large, 2));
+  ArrayTimingParams timing;
+  timing.alu_rows_per_cycle = 1;
+  mem::CacheParams cache_params;
+  cache_params.enabled = true;  // misses ride the dependence edges
+
+  const auto run = [&](const ExecutionModel& model, const Configuration& c) {
+    sim::CpuState state;
+    state.regs[16] = 0x10008000;
+    mem::Memory memory;
+    mem::Cache dcache(cache_params);
+    return model.execute(c, state, memory, &dcache, timing, false);
+  };
+  uint64_t stalls = 0;
+  for (const int capacity : {1, 2}) {
+    ExecModeParams params;
+    params.mode = ExecMode::kElastic;
+    params.fifo_capacity = capacity;
+    const auto reused = make_execution_model(params);
+    for (const Configuration* c : {&large, &small, &large}) {
+      const ArrayExecOutcome got = run(*reused, *c);
+      const ArrayExecOutcome want = run(*make_execution_model(params), *c);
+      EXPECT_EQ(got.exec_cycles, want.exec_cycles)
+          << "capacity " << capacity << ", " << c->instruction_count() << " ops";
+      EXPECT_EQ(got.fifo_stall_cycles, want.fifo_stall_cycles)
+          << "capacity " << capacity << ", " << c->instruction_count() << " ops";
+      stalls += got.fifo_stall_cycles;
+    }
+  }
+  EXPECT_GT(stalls, 0u);
+
+  // The per-thread admissibility scratch, just grown by a large graph,
+  // still classifies the small shapes as before.
+  EXPECT_TRUE(elastic_admissible(large, 2));
+  expect_joint_consumer_admissibility();
+  EXPECT_TRUE(elastic_admissible(small, 1));
 }
 
 // ---------------------------------------------------------------------------

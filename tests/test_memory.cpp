@@ -84,6 +84,53 @@ TEST(Memory, HashIsIterationOrderIndependent) {
   EXPECT_EQ(a.content_hash(), b.content_hash());
 }
 
+// Byte-serial FNV-1a 64, exactly as content_hash is defined: pages in
+// ascending index order, each as its index (one 32-bit xor + multiply)
+// followed by every byte of the page.
+uint64_t reference_hash(const Memory& m) {
+  std::map<uint32_t, const std::vector<uint8_t>*> ordered;
+  for (const auto& [index, bytes] : m.pages_sorted()) ordered.emplace(index, bytes);
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& [index, bytes] : ordered) {
+    h ^= index;
+    h *= 0x100000001b3ull;
+    for (const uint8_t b : *bytes) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(MemoryHash, MatchesBytewiseFnv1aReference) {
+  Memory m;
+  EXPECT_EQ(m.content_hash(), 0xcbf29ce484222325ull);  // empty image
+  EXPECT_EQ(m.content_hash(), reference_hash(m));
+
+  m.write8(0x30000, 0);  // one allocated all-zero page
+  EXPECT_EQ(m.content_hash(), reference_hash(m));
+
+  for (const uint32_t off : {0u, 7u, 8u, Memory::kPageSize - 1}) {
+    Memory single;
+    single.write8(2 * Memory::kPageSize + off, 0x5A);
+    EXPECT_EQ(single.content_hash(), reference_hash(single)) << "offset " << off;
+    m.write8(0x30000 + off, static_cast<uint8_t>(off + 1));
+    EXPECT_EQ(m.content_hash(), reference_hash(m)) << "offset " << off;
+  }
+
+  // Pages inserted out of order, including the highest page index, plus a
+  // dense page with no zero runs to skip.
+  m.write8(0xFFFF0000u + 3, 0x11);
+  m.write32(0x00000010, 0xDEADBEEF);
+  m.write8(0x70000 + Memory::kPageSize - 8, 0x22);
+  std::mt19937 rng(7);
+  for (uint32_t off = 0; off < Memory::kPageSize; off += 4) {
+    m.write32(0x90000 + off, static_cast<uint32_t>(rng()) | 1u);
+  }
+  EXPECT_EQ(m.pages_allocated(), 5u);
+  EXPECT_EQ(m.content_hash(), reference_hash(m));
+}
+
 TEST(Cache, DisabledIsFree) {
   Cache c(CacheParams{});  // enabled = false by default
   EXPECT_EQ(c.access(0x1234), 0u);
@@ -185,6 +232,24 @@ TEST(Memory, FirstDifferenceTreatsAbsentPagesAsZero) {
   // against zeros.
   b.write8(0x50004, 0xAB);
   EXPECT_EQ(a.first_difference(b), 0x50004u);
+}
+
+TEST(Memory, FirstDifferenceInTheLastByteOfAPage) {
+  Memory a, b;
+  a.write32(0x40000, 0x01020304);
+  b.write32(0x40000, 0x01020304);
+  a.write8(0x40000 + Memory::kPageSize - 1, 1);
+  b.write8(0x40000 + Memory::kPageSize - 1, 2);
+  EXPECT_EQ(a.first_difference(b), 0x40000 + Memory::kPageSize - 1);
+  EXPECT_EQ(b.first_difference(a), 0x40000 + Memory::kPageSize - 1);
+
+  // A page present on one side only, whose only nonzero byte is its last.
+  Memory c, d;
+  c.write8(0x1000, 9);
+  d.write8(0x1000, 9);
+  d.write8(0x60000 + Memory::kPageSize - 1, 0x80);
+  EXPECT_EQ(c.first_difference(d), 0x60000 + Memory::kPageSize - 1);
+  EXPECT_EQ(d.first_difference(c), 0x60000 + Memory::kPageSize - 1);
 }
 
 TEST(Memory, PagesSortedAscendingAndSized) {

@@ -385,6 +385,113 @@ loop:
             reused.trace_cache().stats().executions);
 }
 
+// Runs `m` to halt in calls of its max_instructions each; returns the
+// last call's result with `instructions` summed over all calls.
+RunResult run_to_halt(Machine& m) {
+  uint64_t total = 0;
+  RunResult r;
+  do {
+    r = m.run();
+    total += r.instructions;
+  } while (!r.state.halted);
+  r.instructions = total;
+  return r;
+}
+
+TEST(TraceCache, CopiedCacheFinishesIdentically) {
+  // A copy of a machine with hot traces carries its own trace bodies: the
+  // source and the copy finish the run identically, and both match an
+  // uninterrupted slow-path run.
+  const asmblr::Program p = asmblr::assemble(kHotLoop);
+  MachineConfig cfg;
+  cfg.max_instructions = 301;  // stop mid-loop with traces hot
+  Machine warm(p, cfg);
+  warm.run();
+  const uint32_t loop = p.symbol("loop");
+  ASSERT_NE(warm.trace_cache().peek(loop), nullptr);
+
+  Machine copy = warm;
+  ASSERT_NE(copy.trace_cache().peek(loop), nullptr);
+  EXPECT_NE(copy.trace_cache().peek(loop), warm.trace_cache().peek(loop));
+  const RunResult a = run_to_halt(warm);
+  const RunResult b = run_to_halt(copy);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.memory_hash, b.memory_hash);
+  EXPECT_EQ(a.mem_accesses, b.mem_accesses);
+  expect_same_state(a.state, b.state);
+  const TraceStats& sa = warm.trace_cache().stats();
+  const TraceStats& sb = copy.trace_cache().stats();
+  EXPECT_EQ(sa.traces_built, sb.traces_built);
+  EXPECT_EQ(sa.executions, sb.executions);
+  EXPECT_EQ(sa.ops_executed, sb.ops_executed);
+  EXPECT_EQ(sa.folded_executions, sb.folded_executions);
+
+  MachineConfig slow_cfg;
+  slow_cfg.host_trace_dispatch = false;
+  const RunResult slow = run_baseline(p, slow_cfg);
+  EXPECT_EQ(slow.instructions, 301u + a.instructions);
+  EXPECT_EQ(slow.cycles, a.cycles);
+  EXPECT_EQ(slow.memory_hash, a.memory_hash);
+  expect_same_state(slow.state, a.state);
+
+  // Copy assignment carries the bodies too; clear() drops them.
+  TraceCache cache;
+  cache = warm.trace_cache();
+  ASSERT_NE(cache.peek(loop), nullptr);
+  EXPECT_EQ(cache.peek(loop)->ops.size(), warm.trace_cache().peek(loop)->ops.size());
+  cache.clear();
+  EXPECT_EQ(cache.peek(loop), nullptr);
+  EXPECT_EQ(cache.stats().traces_built, 0u);
+  EXPECT_EQ(cache.stats().executions, 0u);
+}
+
+TEST(TraceCache, RivalHeadsShareOneSlotBody) {
+  // fa and fb are exactly one slot stride (16 KiB) apart, so they hash to
+  // the same head-table slot. Each is called twice in a row, so each
+  // iteration fb takes the slot over from fa and then fa takes it back,
+  // rebuilding into the slot's one body every time.
+  const asmblr::Program p = asmblr::assemble(R"(
+main:
+        li   $t3, 40
+loop:
+        jal  fa
+        jal  fa
+        jal  fb
+        jal  fb
+        addiu $t3, $t3, -1
+        bne   $t3, $zero, loop
+        break
+fa:
+        addiu $t0, $t0, 1
+        sll   $t1, $t0, 2
+        xor   $t2, $t1, $t0
+        addu  $t4, $t4, $t2
+        addiu $t5, $t5, 3
+        jr    $ra
+        .space 16360
+fb:
+        addiu $t0, $t0, 5
+        subu  $t1, $t4, $t0
+        or    $t2, $t1, $t3
+        addu  $t6, $t6, $t2
+        addiu $t7, $t7, 9
+        jr    $ra
+)");
+  ASSERT_EQ(p.symbol("fb") - p.symbol("fa"), 0x4000u);
+  expect_dispatch_identical(p);
+
+  Machine m(p);
+  m.run();
+  const TraceStats& st = m.trace_cache().stats();
+  EXPECT_GE(st.traces_built, 2u * 40u);  // one takeover per call pair
+  EXPECT_GT(st.executions, 0u);
+  // fb took the slot last.
+  EXPECT_EQ(m.trace_cache().peek(p.symbol("fa")), nullptr);
+  ASSERT_NE(m.trace_cache().peek(p.symbol("fb")), nullptr);
+  EXPECT_EQ(m.trace_cache().peek(p.symbol("fb"))->start_pc, p.symbol("fb"));
+}
+
 std::string stats_json(const accel::AccelStats& stats) {
   std::ostringstream out;
   accel::write_json(out, stats, "cmp");
